@@ -16,6 +16,13 @@ inline std::uint64_t RaceKey(const WriteId& id) {
 
 }  // namespace
 
+WriteId WriteSequencer::Next() {
+  unsettled_.insert(next_seq_);
+  const WriteId id{writer_, next_seq_, settled()};
+  ++next_seq_;
+  return id;
+}
+
 void WriteDedupIndex::Prune(Writer& w) {
   const auto end = w.entries.lower_bound(w.settled);
   for (auto it = w.entries.begin(); it != end;) {

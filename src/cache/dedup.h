@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <vector>
 
 namespace nlss::cache {
@@ -56,6 +57,30 @@ enum class WriteState : std::uint8_t {
   kInFlight,   // an application admitted by Begin is still running
   kApplied,    // applied exactly once; outcome recorded
   kCancelled,  // writer reported failure; tombstoned against late arrivals
+};
+
+/// Writer-side half of the protocol: stamps a writer's monotonic write
+/// ids and keeps the settled cursor they piggyback.  A seq is unsettled
+/// from Next() until the writer calls Settle() for it (the op is done and
+/// no attempt of it remains in flight); the cursor is the lowest unsettled
+/// seq, or the next seq when none is.
+class WriteSequencer {
+ public:
+  explicit WriteSequencer(std::uint32_t writer) : writer_(writer) {}
+
+  /// Stamp the next write id, carrying the cursor as it stands with the
+  /// new seq unsettled.
+  WriteId Next();
+  /// Every seq below this has settled, so the blades may forget it.
+  std::uint64_t settled() const {
+    return unsettled_.empty() ? next_seq_ : *unsettled_.begin();
+  }
+  void Settle(std::uint64_t seq) { unsettled_.erase(seq); }
+
+ private:
+  std::uint32_t writer_;
+  std::uint64_t next_seq_ = 1;
+  std::set<std::uint64_t> unsettled_;
 };
 
 class WriteDedupIndex {

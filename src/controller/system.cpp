@@ -6,6 +6,14 @@
 #include "meta/service.h"
 
 namespace nlss::controller {
+namespace {
+
+// Host-driver multipathing (paper §2.1 "powerful device drivers"): a failed
+// request is retried via another blade after a short delay.
+constexpr std::uint32_t kIoRetries = 2;
+constexpr sim::Tick kRetryDelayNs = 1 * util::kNsPerMs;
+
+}  // namespace
 
 StorageSystem::StorageSystem(sim::Engine& engine, net::Fabric& fabric,
                              SystemConfig config)
@@ -63,7 +71,6 @@ StorageSystem::StorageSystem(sim::Engine& engine, net::Fabric& fabric,
     rebuild_->AddWorker(&cache_->compute(i));
   }
   chargeback_ = std::make_unique<virt::ChargeBack>(engine_);
-  outstanding_.assign(config_.controllers, 0);
 }
 
 StorageSystem::~StorageSystem() = default;
@@ -88,9 +95,9 @@ VolumeId StorageSystem::CreateVolume(const std::string& tenant,
   }
   cache_->RegisterVolume(id, volumes_.back().get());
   chargeback_->Track(volumes_.back().get());
-  if (qos_ != nullptr) {
-    const auto t = qos_->registry().FindByName(tenant);
-    if (t.has_value()) qos_->registry().BindVolume(id, *t);
+  if (qos::Scheduler* q = qos()) {
+    const auto t = q->registry().FindByName(tenant);
+    if (t.has_value()) q->registry().BindVolume(id, *t);
   }
   return id;
 }
@@ -104,18 +111,6 @@ cache::ControllerId StorageSystem::PickController(VolumeId vol) {
         if (cache_->IsAlive(c)) return c;
       }
       return 0;
-    }
-    case Balancing::kLeastBusy: {
-      cache::ControllerId best = 0;
-      std::uint32_t best_load = ~0u;
-      for (std::uint32_t c = 0; c < config_.controllers; ++c) {
-        if (!cache_->IsAlive(c)) continue;
-        if (outstanding_[c] < best_load) {
-          best_load = outstanding_[c];
-          best = c;
-        }
-      }
-      return best;
     }
     case Balancing::kRoundRobin:
     default: {
@@ -135,72 +130,66 @@ cache::ControllerId StorageSystem::PickController(VolumeId vol) {
 qos::TenantId StorageSystem::ResolveTenant(VolumeId vol,
                                            qos::TenantId hint) const {
   if (hint != qos::kAutoTenant) return hint;
-  if (qos_ == nullptr) return qos::kDefaultTenant;
-  return qos_->registry().ResolveVolume(vol);
+  const qos::Scheduler* q = qos();
+  return q == nullptr ? qos::kDefaultTenant : q->registry().ResolveVolume(vol);
 }
 
 void StorageSystem::AttachQos(qos::Scheduler* qos) {
-  qos_ = qos;
+  admission_.Attach(qos);
   if (tier_ != nullptr) {
     // Demotion batches ride admission as their own background tenant so
     // tier traffic queues behind foreground classes.
-    tier_->AttachQos(qos_, qos_ == nullptr
-                               ? qos::kDefaultTenant
-                               : qos_->registry().Register(
-                                     "tier", qos::ServiceClass::kBronze));
+    tier_->AttachQos(qos, qos == nullptr
+                              ? qos::kDefaultTenant
+                              : qos->registry().Register(
+                                    "tier", qos::ServiceClass::kBronze));
   }
-  if (qos_ == nullptr) return;
+  if (qos == nullptr) return;
   // Bind existing volumes by tenant name so auto-resolution works for
   // volumes created before the scheduler was attached.
   for (VolumeId id = 0; id < volumes_.size(); ++id) {
-    const auto t = qos_->registry().FindByName(volumes_[id]->tenant());
-    if (t.has_value()) qos_->registry().BindVolume(id, *t);
+    const auto t = qos->registry().FindByName(volumes_[id]->tenant());
+    if (t.has_value()) qos->registry().BindVolume(id, *t);
   }
   RegisterQosMetrics();
 }
 
 void StorageSystem::RegisterQosMetrics() {
-  if (hub_ == nullptr || qos_ == nullptr) return;
+  if (hub_ == nullptr || qos() == nullptr) return;
+  using Stats = qos::SloTracker::TenantStats;
+  struct Series {
+    const char* name;
+    const char* help;
+    std::uint64_t Stats::*field;
+  };
+  static constexpr Series kSeries[] = {
+      {"nlss_qos_ops_total", "Ops completed through QoS admission",
+       &Stats::ops},
+      {"nlss_qos_rejected_total", "Admission-control rejections",
+       &Stats::rejected},
+      {"nlss_qos_bytes_total", "Bytes completed through QoS admission",
+       &Stats::bytes},
+      {"nlss_qos_hedges_total", "Hedge-budget grants (TryHedge)",
+       &Stats::hedges},
+      {"nlss_qos_hedges_shed_total",
+       "Hedges denied by budget or admission pressure", &Stats::hedges_shed},
+  };
   obs::Registry& m = hub_->metrics();
   // One labelled series per tenant known at attach time, alongside the
   // flat aggregates (a single Prometheus scrape covers the whole
   // multi-tenant story).  Values pull from the SLO tracker at render time.
-  for (const qos::Tenant& t : qos_->registry().tenants()) {
+  for (const qos::Tenant& t : qos()->registry().tenants()) {
     const qos::TenantId id = t.id;
     const obs::Labels labels = {{"tenant", t.name}};
-    m.AddCallback(
-        "nlss_qos_ops_total", "Ops completed through QoS admission",
-        [this, id] {
-          return qos_ == nullptr ? 0.0 : double(qos_->slo().stats(id).ops);
-        },
-        labels);
-    m.AddCallback(
-        "nlss_qos_rejected_total", "Admission-control rejections",
-        [this, id] {
-          return qos_ == nullptr ? 0.0
-                                 : double(qos_->slo().stats(id).rejected);
-        },
-        labels);
-    m.AddCallback(
-        "nlss_qos_bytes_total", "Bytes completed through QoS admission",
-        [this, id] {
-          return qos_ == nullptr ? 0.0 : double(qos_->slo().stats(id).bytes);
-        },
-        labels);
-    m.AddCallback(
-        "nlss_qos_hedges_total", "Hedge-budget grants (TryHedge)",
-        [this, id] {
-          return qos_ == nullptr ? 0.0 : double(qos_->slo().stats(id).hedges);
-        },
-        labels);
-    m.AddCallback(
-        "nlss_qos_hedges_shed_total",
-        "Hedges denied by budget or admission pressure",
-        [this, id] {
-          return qos_ == nullptr ? 0.0
-                                 : double(qos_->slo().stats(id).hedges_shed);
-        },
-        labels);
+    for (const Series& series : kSeries) {
+      m.AddCallback(
+          series.name, series.help,
+          [this, id, field = series.field] {
+            return qos() == nullptr ? 0.0
+                                    : double(qos()->slo().stats(id).*field);
+          },
+          labels);
+    }
   }
 }
 
@@ -267,16 +256,16 @@ void StorageSystem::AttachObs(obs::Hub* hub) {
                 [this] { return double(fabric_.dropped()); });
   m.AddCallback("nlss_qos_ops_total", "Ops completed through QoS admission",
                 [this] {
-                  if (qos_ == nullptr) return 0.0;
+                  if (qos() == nullptr) return 0.0;
                   std::uint64_t n = 0;  // exact: FP sums are order-sensitive
-                  for (const auto& [t, s] : qos_->slo().all()) n += s.ops;
+                  for (const auto& [t, s] : qos()->slo().all()) n += s.ops;
                   return double(n);
                 });
   m.AddCallback("nlss_qos_rejected_total", "Admission-control rejections",
                 [this] {
-                  if (qos_ == nullptr) return 0.0;
+                  if (qos() == nullptr) return 0.0;
                   std::uint64_t n = 0;
-                  for (const auto& [t, s] : qos_->slo().all()) {
+                  for (const auto& [t, s] : qos()->slo().all()) {
                     n += s.rejected;
                   }
                   return double(n);
@@ -284,63 +273,15 @@ void StorageSystem::AttachObs(obs::Hub* hub) {
   RegisterQosMetrics();
 }
 
-obs::TraceContext StorageSystem::StartOp(obs::TraceContext ctx,
-                                         const char* name, VolumeId vol,
-                                         bool* root) {
-  *root = false;
-  const std::string tenant =
-      vol < volumes_.size() ? volumes_[vol]->tenant() : std::string();
-  if (ctx.sampled()) {
-    ctx = obs::StartSpan(ctx, obs::Layer::kController, name);
-    if (!tenant.empty()) ctx.tracer->SetTenant(ctx, tenant);
-    return ctx;
-  }
-  if (hub_ == nullptr) return {};
-  ctx = hub_->tracer().StartTrace(obs::Layer::kController, name, tenant);
-  *root = ctx.sampled();
-  return ctx;
-}
+// --- Host I/O ------------------------------------------------------------------
 
 void StorageSystem::Read(net::NodeId host, VolumeId vol, std::uint64_t offset,
                          std::uint32_t length, ReadCallback cb,
                          std::uint8_t priority, qos::TenantId tenant,
                          obs::TraceContext ctx) {
-  if (reads_total_ != nullptr) reads_total_->Increment();
-  bool root = false;
-  ctx = StartOp(ctx, "controller.read", vol, &root);
-  const sim::Tick t0 = engine_.now();
-  // Host-driver multipathing: re-issue via another blade on failure.
-  auto attempt = std::make_shared<std::function<void(std::uint32_t)>>();
-  auto shared_cb = std::make_shared<ReadCallback>(
-      [this, t0, ctx, root, cb = std::move(cb)](bool ok, util::Bytes data) {
-        if (read_latency_ns_ != nullptr) {
-          read_latency_ns_->Record(engine_.now() - t0);
-          if (!ok) io_failures_total_->Increment();
-        }
-        if (root) {
-          ctx.tracer->EndTrace(ctx, ok);
-        } else {
-          obs::EndSpan(ctx);
-        }
-        cb(ok, std::move(data));
-      });
-  *attempt = [this, host, vol, offset, length, priority, tenant, shared_cb,
-              attempt, ctx](std::uint32_t retries_left) {
-    ReadOnce(host, PickController(vol), vol, offset, length, priority, tenant,
-             [this, shared_cb, attempt, retries_left](bool ok,
-                                                      util::Bytes data) {
-               if (ok || retries_left == 0) {
-                 (*shared_cb)(ok, std::move(data));
-                 return;
-               }
-               engine_.Schedule(config_.retry_delay_ns,
-                                [attempt, retries_left] {
-                                  (*attempt)(retries_left - 1);
-                                });
-             },
-             ctx);
-  };
-  (*attempt)(config_.io_retries);
+  Issue({.host = host, .vol = vol, .offset = offset, .length = length,
+         .priority = priority, .tenant = tenant},
+        std::move(cb), ctx);
 }
 
 void StorageSystem::ReadVia(net::NodeId host, cache::ControllerId via,
@@ -348,25 +289,30 @@ void StorageSystem::ReadVia(net::NodeId host, cache::ControllerId via,
                             std::uint32_t length, ReadCallback cb,
                             std::uint8_t priority, qos::TenantId tenant,
                             obs::TraceContext ctx) {
-  if (reads_total_ != nullptr) reads_total_->Increment();
-  bool root = false;
-  ctx = StartOp(ctx, "controller.read", vol, &root);
-  const sim::Tick t0 = engine_.now();
-  ReadOnce(host, via, vol, offset, length, priority, tenant,
-           [this, t0, ctx, root, cb = std::move(cb)](bool ok,
-                                                     util::Bytes data) {
-             if (read_latency_ns_ != nullptr) {
-               read_latency_ns_->Record(engine_.now() - t0);
-               if (!ok) io_failures_total_->Increment();
-             }
-             if (root) {
-               ctx.tracer->EndTrace(ctx, ok);
-             } else {
-               obs::EndSpan(ctx);
-             }
-             cb(ok, std::move(data));
-           },
-           ctx);
+  Issue({.host = host, .via = via, .vol = vol, .offset = offset,
+         .length = length, .priority = priority, .tenant = tenant},
+        std::move(cb), ctx);
+}
+
+void StorageSystem::BladeRead(cache::ControllerId via, VolumeId vol,
+                              std::uint64_t offset, std::uint32_t length,
+                              std::uint8_t priority, qos::TenantId tenant,
+                              ReadCallback cb, obs::TraceContext ctx) {
+  Issue({.via = via, .vol = vol, .offset = offset, .length = length,
+         .priority = priority, .tenant = tenant},
+        std::move(cb), ctx);
+}
+
+void StorageSystem::Write(net::NodeId host, VolumeId vol, std::uint64_t offset,
+                          std::span<const std::uint8_t> data, WriteCallback cb,
+                          qos::TenantId tenant, obs::TraceContext ctx) {
+  // Driver-retried writes are unattributed ({} write id, no dedup).  Safe
+  // by construction: each retry rewrites the identical payload at the
+  // identical offset and the loop never overlaps attempts.
+  Issue({.write = true, .host = host, .vol = vol, .offset = offset,
+         .payload = util::Bytes(data.begin(), data.end()),
+         .replication = config_.cache.replication, .tenant = tenant},
+        [cb = std::move(cb)](bool ok, util::Bytes) { cb(ok); }, ctx);
 }
 
 void StorageSystem::WriteVia(net::NodeId host, cache::ControllerId via,
@@ -380,247 +326,11 @@ void StorageSystem::WriteVia(net::NodeId host, cache::ControllerId via,
   NLSS_INVARIANT(kCache, wid.valid(),
                  "WriteVia without a write id (vol %u offset %llu)", vol,
                  static_cast<unsigned long long>(offset));
-  if (writes_total_ != nullptr) writes_total_->Increment();
-  bool root = false;
-  ctx = StartOp(ctx, "controller.write", vol, &root);
-  const sim::Tick t0 = engine_.now();
-  auto payload = std::make_shared<util::Bytes>(data.begin(), data.end());
-  WriteOnce(host, via, vol, offset, std::move(payload),
-            config_.cache.replication, priority, tenant, wid,
-            [this, t0, ctx, root, cb = std::move(cb)](bool ok) {
-              if (write_latency_ns_ != nullptr) {
-                write_latency_ns_->Record(engine_.now() - t0);
-                if (!ok) io_failures_total_->Increment();
-              }
-              if (root) {
-                ctx.tracer->EndTrace(ctx, ok);
-              } else {
-                obs::EndSpan(ctx);
-              }
-              cb(ok);
-            },
-            ctx);
-}
-
-void StorageSystem::ReadOnce(net::NodeId host, cache::ControllerId ctrl,
-                             VolumeId vol, std::uint64_t offset,
-                             std::uint32_t length, std::uint8_t priority,
-                             qos::TenantId tenant, ReadCallback cb,
-                             obs::TraceContext ctx) {
-  auto shared_cb = std::make_shared<ReadCallback>(std::move(cb));
-  // The blade attempt, parameterized on the QoS completion hook (`done` is
-  // a no-op when no scheduler is attached).
-  auto issue = [this, host, ctrl, vol, offset, length, priority, shared_cb,
-                ctx](std::function<void(bool)> done) {
-    ++outstanding_[ctrl];
-    // Request command to the blade (small), response data to the host.
-    fabric_.Send(
-        host, controller_nodes_[ctrl], config_.cache.ctrl_msg_bytes,
-        [this, host, ctrl, vol, offset, length, priority, shared_cb, done,
-         ctx] {
-          cache_->Read(
-              ctrl, vol, offset, length,
-              [this, host, ctrl, shared_cb, done, ctx](bool ok,
-                                                       util::Bytes data) {
-                --outstanding_[ctrl];
-                if (!ok) {
-                  done(false);
-                  (*shared_cb)(false, {});
-                  return;
-                }
-                auto payload = std::make_shared<util::Bytes>(std::move(data));
-                fabric_.Send(
-                    controller_nodes_[ctrl], host, payload->size(),
-                    [shared_cb, payload, done] {
-                      done(true);
-                      (*shared_cb)(true, std::move(*payload));
-                    },
-                    [shared_cb, done] {
-                      done(false);
-                      (*shared_cb)(false, {});
-                    },
-                    ctx);
-              },
-              priority, ctx);
-        },
-        [this, ctrl, shared_cb, done] {
-          --outstanding_[ctrl];
-          done(false);
-          (*shared_cb)(false, {});
-        },
-        ctx);
-  };
-  if (qos_ != nullptr) {
-    if (!qos_->Submit(ctrl, ResolveTenant(vol, tenant), length,
-                      std::move(issue), ctx)) {
-      // Admission rejected (backpressure): fail the attempt; the multipath
-      // retry loop re-submits after retry_delay_ns.
-      engine_.Schedule(0, [shared_cb] { (*shared_cb)(false, {}); });
-    }
-    return;
-  }
-  issue([](bool) {});
-}
-
-void StorageSystem::Write(net::NodeId host, VolumeId vol, std::uint64_t offset,
-                          std::span<const std::uint8_t> data, WriteCallback cb,
-                          qos::TenantId tenant, obs::TraceContext ctx) {
-  WriteReplicated(host, vol, offset, data, config_.cache.replication,
-                  std::move(cb), 0, tenant, ctx);
-}
-
-void StorageSystem::WriteReplicated(net::NodeId host, VolumeId vol,
-                                    std::uint64_t offset,
-                                    std::span<const std::uint8_t> data,
-                                    std::uint32_t replication,
-                                    WriteCallback cb, std::uint8_t priority,
-                                    qos::TenantId tenant,
-                                    obs::TraceContext ctx) {
-  if (writes_total_ != nullptr) writes_total_->Increment();
-  bool root = false;
-  ctx = StartOp(ctx, "controller.write", vol, &root);
-  const sim::Tick t0 = engine_.now();
-  auto payload = std::make_shared<util::Bytes>(data.begin(), data.end());
-  auto attempt = std::make_shared<std::function<void(std::uint32_t)>>();
-  auto outer_cb = std::make_shared<WriteCallback>(
-      [this, t0, ctx, root, cb = std::move(cb)](bool ok) {
-        if (write_latency_ns_ != nullptr) {
-          write_latency_ns_->Record(engine_.now() - t0);
-          if (!ok) io_failures_total_->Increment();
-        }
-        if (root) {
-          ctx.tracer->EndTrace(ctx, ok);
-        } else {
-          obs::EndSpan(ctx);
-        }
-        cb(ok);
-      });
-  *attempt = [this, host, vol, offset, payload, replication, priority, tenant,
-              outer_cb, attempt, ctx](std::uint32_t retries_left) {
-    // Legacy driver loop: unattributed ({} write id, no dedup).  Safe by
-    // construction — each retry rewrites the identical payload at the
-    // identical offset and the loop never overlaps attempts.
-    WriteOnce(host, PickController(vol), vol, offset, payload, replication,
-              priority, tenant, cache::WriteId{},
-              [this, outer_cb, attempt, retries_left](bool ok) {
-                if (ok || retries_left == 0) {
-                  (*outer_cb)(ok);
-                  return;
-                }
-                engine_.Schedule(config_.retry_delay_ns,
-                                 [attempt, retries_left] {
-                                   (*attempt)(retries_left - 1);
-                                 });
-              },
-              ctx);
-  };
-  (*attempt)(config_.io_retries);
-}
-
-void StorageSystem::WriteOnce(net::NodeId host, cache::ControllerId ctrl,
-                              VolumeId vol, std::uint64_t offset,
-                              std::shared_ptr<util::Bytes> payload,
-                              std::uint32_t replication, std::uint8_t priority,
-                              qos::TenantId tenant, cache::WriteId wid,
-                              WriteCallback cb, obs::TraceContext ctx) {
-  auto shared_cb = std::make_shared<WriteCallback>(std::move(cb));
-  auto issue = [this, host, ctrl, vol, offset, replication, priority, payload,
-                wid, shared_cb, ctx](std::function<void(bool)> done) {
-    ++outstanding_[ctrl];
-    // Data travels host -> blade, then the ack returns blade -> host.
-    fabric_.Send(
-        host, controller_nodes_[ctrl], payload->size(),
-        [this, host, ctrl, vol, offset, replication, priority, payload, wid,
-         shared_cb, done, ctx] {
-          // Shared continuation: duplicates absorbed by the dedup index
-          // ride it too, so every arrival acks (and releases its QoS
-          // slot) exactly once.
-          auto outcome = [this, host, ctrl, shared_cb, done, ctx](bool ok) {
-            --outstanding_[ctrl];
-            if (!ok) {
-              done(false);
-              (*shared_cb)(false);
-              return;
-            }
-            fabric_.Send(
-                controller_nodes_[ctrl], host, config_.cache.ctrl_msg_bytes,
-                [shared_cb, done] {
-                  done(true);
-                  (*shared_cb)(true);
-                },
-                [shared_cb, done] {
-                  done(false);
-                  (*shared_cb)(false);
-                },
-                ctx);
-          };
-          // Payload has landed on the blade: consult the cluster-wide
-          // idempotency index before touching the data image.
-          if (!dedup_.Begin(wid, outcome)) return;
-          cache_->WriteWithReplication(
-              ctrl, vol, offset, *payload, replication,
-              [this, wid, outcome](bool ok) {
-                dedup_.Complete(wid, ok);
-                outcome(ok);
-              },
-              priority, ctx, wid);
-        },
-        [this, ctrl, shared_cb, done] {
-          --outstanding_[ctrl];
-          done(false);
-          (*shared_cb)(false);
-        },
-        ctx);
-  };
-  if (qos_ != nullptr) {
-    if (!qos_->Submit(ctrl, ResolveTenant(vol, tenant), payload->size(),
-                      std::move(issue), ctx)) {
-      engine_.Schedule(0, [shared_cb] { (*shared_cb)(false); });
-    }
-    return;
-  }
-  issue([](bool) {});
-}
-
-void StorageSystem::BladeRead(cache::ControllerId via, VolumeId vol,
-                              std::uint64_t offset, std::uint32_t length,
-                              std::uint8_t priority, qos::TenantId tenant,
-                              ReadCallback cb, obs::TraceContext ctx) {
-  if (reads_total_ != nullptr) reads_total_->Increment();
-  bool root = false;
-  ctx = StartOp(ctx, "controller.read", vol, &root);
-  const sim::Tick t0 = engine_.now();
-  auto shared_cb = std::make_shared<ReadCallback>(
-      [this, t0, ctx, root, cb = std::move(cb)](bool ok, util::Bytes data) {
-        if (read_latency_ns_ != nullptr) {
-          read_latency_ns_->Record(engine_.now() - t0);
-          if (!ok) io_failures_total_->Increment();
-        }
-        if (root) {
-          ctx.tracer->EndTrace(ctx, ok);
-        } else {
-          obs::EndSpan(ctx);
-        }
-        cb(ok, std::move(data));
-      });
-  auto issue = [this, via, vol, offset, length, priority, shared_cb,
-                ctx](std::function<void(bool)> done) {
-    cache_->Read(
-        via, vol, offset, length,
-        [shared_cb, done](bool ok, util::Bytes data) {
-          done(ok);
-          (*shared_cb)(ok, std::move(data));
-        },
-        priority, ctx);
-  };
-  if (qos_ != nullptr) {
-    if (!qos_->Submit(via, ResolveTenant(vol, tenant), length,
-                      std::move(issue), ctx)) {
-      engine_.Schedule(0, [shared_cb] { (*shared_cb)(false, {}); });
-    }
-    return;
-  }
-  issue([](bool) {});
+  Issue({.write = true, .host = host, .via = via, .vol = vol,
+         .offset = offset, .payload = util::Bytes(data.begin(), data.end()),
+         .replication = config_.cache.replication, .priority = priority,
+         .tenant = tenant, .wid = wid},
+        [cb = std::move(cb)](bool ok, util::Bytes) { cb(ok); }, ctx);
 }
 
 void StorageSystem::BladeWrite(cache::ControllerId via, VolumeId vol,
@@ -636,48 +346,147 @@ void StorageSystem::BladeWrite(cache::ControllerId via, VolumeId vol,
   NLSS_INVARIANT(kCache, wid.valid(),
                  "BladeWrite without a write id (vol %u offset %llu)", vol,
                  static_cast<unsigned long long>(offset));
-  if (writes_total_ != nullptr) writes_total_->Increment();
+  Issue({.write = true, .via = via, .vol = vol, .offset = offset,
+         .payload = util::Bytes(data.begin(), data.end()),
+         .replication = replication, .priority = priority, .tenant = tenant,
+         .wid = wid},
+        [cb = std::move(cb)](bool ok, util::Bytes) { cb(ok); }, ctx);
+}
+
+void StorageSystem::Issue(Io io, Reply cb, obs::TraceContext ctx) {
+  Reply done = Enter(io.write, io.vol, &ctx, std::move(cb));
+  // Own the request (payload included): dispatch may be deferred past the
+  // caller's buffer, and retries re-send it.
+  auto shared = std::make_shared<const Io>(std::move(io));
+  if (shared->via.has_value()) {
+    Attempt(shared, *shared->via, std::move(done), ctx);
+  } else {
+    Multipath(shared, std::make_shared<Reply>(std::move(done)), ctx,
+              kIoRetries);
+  }
+}
+
+StorageSystem::Reply StorageSystem::Enter(bool write, VolumeId vol,
+                                          obs::TraceContext* ctx, Reply cb) {
+  if (obs::Counter* total = write ? writes_total_ : reads_total_) {
+    total->Increment();
+  }
+  const char* name = write ? "controller.write" : "controller.read";
+  const std::string tenant =
+      vol < volumes_.size() ? volumes_[vol]->tenant() : std::string();
   bool root = false;
-  ctx = StartOp(ctx, "controller.write", vol, &root);
-  const sim::Tick t0 = engine_.now();
-  // Own the payload: dispatch may be deferred past the caller's buffer.
-  auto payload = std::make_shared<util::Bytes>(data.begin(), data.end());
-  auto shared_cb = std::make_shared<WriteCallback>(
-      [this, t0, ctx, root, cb = std::move(cb)](bool ok) {
-        if (write_latency_ns_ != nullptr) {
-          write_latency_ns_->Record(engine_.now() - t0);
-          if (!ok) io_failures_total_->Increment();
-        }
-        if (root) {
-          ctx.tracer->EndTrace(ctx, ok);
-        } else {
-          obs::EndSpan(ctx);
-        }
-        cb(ok);
-      });
-  auto issue = [this, via, vol, offset, replication, priority, payload, wid,
-                shared_cb, ctx](std::function<void(bool)> done) {
-    auto outcome = [shared_cb, done](bool ok) {
-      done(ok);
-      (*shared_cb)(ok);
-    };
-    if (!dedup_.Begin(wid, outcome)) return;
-    cache_->WriteWithReplication(
-        via, vol, offset, *payload, replication,
-        [this, wid, outcome](bool ok) {
-          dedup_.Complete(wid, ok);
-          outcome(ok);
-        },
-        priority, ctx, wid);
-  };
-  if (qos_ != nullptr) {
-    if (!qos_->Submit(via, ResolveTenant(vol, tenant), payload->size(),
-                      std::move(issue), ctx)) {
-      engine_.Schedule(0, [shared_cb] { (*shared_cb)(false); });
+  if (ctx->sampled()) {
+    *ctx = obs::StartSpan(*ctx, obs::Layer::kController, name);
+    if (!tenant.empty()) ctx->tracer->SetTenant(*ctx, tenant);
+  } else if (hub_ != nullptr) {
+    *ctx = hub_->tracer().StartTrace(obs::Layer::kController, name, tenant);
+    root = ctx->sampled();
+  } else {
+    *ctx = {};
+  }
+  return [this, write, t0 = engine_.now(), ctx = *ctx, root,
+          cb = std::move(cb)](bool ok, util::Bytes data) {
+    if (util::Histogram* latency =
+            write ? write_latency_ns_ : read_latency_ns_) {
+      latency->Record(engine_.now() - t0);
+      if (!ok) io_failures_total_->Increment();
     }
+    if (root) {
+      ctx.tracer->EndTrace(ctx, ok);
+    } else {
+      obs::EndSpan(ctx);
+    }
+    cb(ok, std::move(data));
+  };
+}
+
+void StorageSystem::Multipath(std::shared_ptr<const Io> io,
+                              std::shared_ptr<Reply> done,
+                              obs::TraceContext ctx,
+                              std::uint32_t retries_left) {
+  Attempt(io, PickController(io->vol),
+          [this, io, done, ctx, retries_left](bool ok, util::Bytes data) {
+            if (ok || retries_left == 0) {
+              (*done)(ok, std::move(data));
+              return;
+            }
+            engine_.Schedule(kRetryDelayNs, [this, io, done, ctx,
+                                             retries_left] {
+              Multipath(io, done, ctx, retries_left - 1);
+            });
+          },
+          ctx);
+}
+
+void StorageSystem::Attempt(std::shared_ptr<const Io> io,
+                            cache::ControllerId ctrl, Reply reply,
+                            obs::TraceContext ctx) {
+  auto shared_reply = std::make_shared<Reply>(std::move(reply));
+  const std::uint64_t bytes = io->write ? io->payload.size() : io->length;
+  auto issue = [this, io, ctrl, bytes, shared_reply,
+                ctx](std::function<void(bool)> done) {
+    // The QoS slot (a no-op `done` without a scheduler) is released before
+    // the caller hears the outcome.
+    auto finish = [shared_reply, done = std::move(done)](bool ok,
+                                                         util::Bytes data) {
+      done(ok);
+      (*shared_reply)(ok, std::move(data));
+    };
+    if (io->host == net::kInvalidNode) {
+      Serve(*io, ctrl, std::move(finish), ctx);
+      return;
+    }
+    // Host I/O: the command (read) or payload (write) travels host ->
+    // blade; the data (read) or ack (write) returns blade -> host.
+    const net::NodeId blade = controller_nodes_[ctrl];
+    fabric_.Send(
+        io->host, blade, io->write ? bytes : config_.cache.ctrl_msg_bytes,
+        [this, io, ctrl, blade, finish, ctx] {
+          Serve(
+              *io, ctrl,
+              [this, io, blade, finish, ctx](bool ok, util::Bytes data) {
+                if (!ok) {
+                  finish(false, {});
+                  return;
+                }
+                auto payload = std::make_shared<util::Bytes>(std::move(data));
+                fabric_.Send(
+                    blade, io->host,
+                    io->write ? config_.cache.ctrl_msg_bytes : payload->size(),
+                    [finish, payload] { finish(true, std::move(*payload)); },
+                    [finish] { finish(false, {}); }, ctx);
+              },
+              ctx);
+        },
+        [finish] { finish(false, {}); }, ctx);
+  };
+  // A rejection (backpressure) fails the attempt; the retry policy that
+  // spaces re-submissions is the caller's (Multipath or the host initiator).
+  admission_.Admit(ctrl, ResolveTenant(io->vol, io->tenant), bytes,
+                   std::move(issue), ctx,
+                   [shared_reply] { (*shared_reply)(false, {}); });
+}
+
+void StorageSystem::Serve(const Io& io, cache::ControllerId ctrl,
+                          Reply reply, obs::TraceContext ctx) {
+  if (!io.write) {
+    cache_->Read(ctrl, io.vol, io.offset, io.length, std::move(reply),
+                 io.priority, ctx);
     return;
   }
-  issue([](bool) {});
+  // The payload has landed on the blade: consult the cluster-wide
+  // idempotency index before touching the data image.  Duplicates it
+  // absorbs ride `outcome` too, so every arrival acks (and releases its
+  // QoS slot) exactly once.
+  auto outcome = [reply = std::move(reply)](bool ok) { reply(ok, {}); };
+  if (!dedup_.Begin(io.wid, outcome)) return;
+  cache_->WriteWithReplication(
+      ctrl, io.vol, io.offset, io.payload, io.replication,
+      [this, wid = io.wid, outcome](bool ok) {
+        dedup_.Complete(wid, ok);
+        outcome(ok);
+      },
+      io.priority, ctx, io.wid);
 }
 
 void StorageSystem::FailController(std::uint32_t i) {

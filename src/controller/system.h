@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "disk/disk.h"
 #include "net/fabric.h"
 #include "obs/hub.h"
+#include "qos/admission.h"
 #include "qos/scheduler.h"
 #include "raid/group.h"
 #include "raid/rebuild.h"
@@ -43,7 +45,6 @@ using VolumeId = std::uint32_t;
 
 enum class Balancing {
   kRoundRobin,     // spread requests over all live blades (the paper's mode)
-  kLeastBusy,      // pick the blade with the lowest outstanding-op count
   kStaticByVolume  // traditional LUN ownership: volume -> fixed blade
 };
 
@@ -63,10 +64,6 @@ struct SystemConfig {
   net::LinkProfile host_link = net::LinkProfile::FibreChannel2G();
   net::LinkProfile backplane = net::LinkProfile::Backplane();
   Balancing balancing = Balancing::kRoundRobin;
-  // Host-driver multipathing (paper §2.1 "powerful device drivers"): failed
-  // requests are retried via another blade after a short delay.
-  std::uint32_t io_retries = 2;
-  sim::Tick retry_delay_ns = 1 * util::kNsPerMs;
 };
 
 class StorageSystem {
@@ -97,6 +94,8 @@ class StorageSystem {
 
   /// Cached I/O from `host`, routed to a blade by the balancing policy.
   /// Timing includes the host->blade and blade->host fabric transfers.
+  /// Host-driver multipathing (paper §2.1 "powerful device drivers"): a
+  /// failed attempt is retried via another blade after a short delay.
   /// `priority` is the cache retention priority (per-file policy, §4).
   /// `tenant` attributes the request for QoS scheduling; kAutoTenant
   /// resolves via the volume binding when a scheduler is attached.
@@ -110,15 +109,6 @@ class StorageSystem {
              std::span<const std::uint8_t> data, WriteCallback cb,
              qos::TenantId tenant = qos::kAutoTenant,
              obs::TraceContext ctx = {});
-
-  /// Same, with per-request replication/priority overrides (per-file
-  /// policies).
-  void WriteReplicated(net::NodeId host, VolumeId vol, std::uint64_t offset,
-                       std::span<const std::uint8_t> data,
-                       std::uint32_t replication, WriteCallback cb,
-                       std::uint8_t priority = 0,
-                       qos::TenantId tenant = qos::kAutoTenant,
-                       obs::TraceContext ctx = {});
 
   /// Single-attempt host I/O via an explicitly chosen blade: the entry the
   /// host initiator stack (src/host) uses once its multipath layer has
@@ -144,7 +134,8 @@ class StorageSystem {
 
   /// Controller-local cached I/O (no host fabric legs): the entry the
   /// parallel file system uses once it has picked a blade.  Rides the same
-  /// QoS admission path as host I/O.
+  /// QoS admission path as host I/O; BladeWrite carries the per-request
+  /// replication and priority overrides of per-file policies.
   void BladeRead(cache::ControllerId via, VolumeId vol, std::uint64_t offset,
                  std::uint32_t length, std::uint8_t priority,
                  qos::TenantId tenant, ReadCallback cb,
@@ -175,7 +166,7 @@ class StorageSystem {
   /// whose tenant name matches a registered QoS tenant are bound to it.
   /// Pass nullptr to detach (I/O reverts to FIFO admission).
   void AttachQos(qos::Scheduler* qos);
-  qos::Scheduler* qos() const { return qos_; }
+  qos::Scheduler* qos() const { return admission_.scheduler(); }
 
   // --- Observability -----------------------------------------------------------
   /// Attach a tracing + metrics hub.  Registers callback gauges bridging
@@ -221,29 +212,46 @@ class StorageSystem {
   const SystemConfig& config() const { return config_; }
   std::uint32_t controller_count() const { return config_.controllers; }
 
-  /// Outstanding host ops per controller (for kLeastBusy and diagnostics).
-  const std::vector<std::uint32_t>& outstanding() const { return outstanding_; }
-
  private:
-  /// Single attempts against an explicit blade (no retry); the public
-  /// entry points wrap these with the host-driver multipath retry loop or
-  /// expose them directly (ReadVia/WriteVia).
-  void ReadOnce(net::NodeId host, cache::ControllerId ctrl, VolumeId vol,
-                std::uint64_t offset, std::uint32_t length,
-                std::uint8_t priority, qos::TenantId tenant, ReadCallback cb,
-                obs::TraceContext ctx = {});
-  void WriteOnce(net::NodeId host, cache::ControllerId ctrl, VolumeId vol,
-                 std::uint64_t offset, std::shared_ptr<util::Bytes> payload,
-                 std::uint32_t replication, std::uint8_t priority,
-                 qos::TenantId tenant, cache::WriteId wid, WriteCallback cb,
-                 obs::TraceContext ctx = {});
+  /// Every public I/O entry point describes its request as one Io and hands
+  /// it to Issue: one span and one latency sample per call, however many
+  /// attempts it makes.
+  struct Io {
+    bool write = false;
+    net::NodeId host = net::kInvalidNode;  // kInvalidNode: blade-local
+    /// Blade to use; unset: the balancer picks, with driver retries.
+    std::optional<cache::ControllerId> via{};
+    VolumeId vol = 0;
+    std::uint64_t offset = 0;
+    std::uint32_t length = 0;  // reads
+    util::Bytes payload{};     // writes: the request's only copy
+    std::uint32_t replication = 0;
+    std::uint8_t priority = 0;
+    qos::TenantId tenant = qos::kAutoTenant;
+    cache::WriteId wid{};  // invalid: unattributed (driver-retried writes)
+  };
+  /// Completion of every attempt shape: reads deliver data, writes none.
+  using Reply = ReadCallback;
+
+  void Issue(Io io, Reply cb, obs::TraceContext ctx);
+  /// Open a public op: count it and start its span (a child of a sampled
+  /// `*ctx`, else a new root trace when a hub is attached).  The returned
+  /// reply records latency and failure and closes the span before `cb`.
+  Reply Enter(bool write, VolumeId vol, obs::TraceContext* ctx, Reply cb);
+  /// Host-driver multipathing: attempt on a balancer-picked blade and
+  /// re-issue after a short delay while attempts fail and retries remain.
+  void Multipath(std::shared_ptr<const Io> io, std::shared_ptr<Reply> done,
+                 obs::TraceContext ctx, std::uint32_t retries_left);
+  /// One attempt on blade `ctrl`: QoS admission, then the blade work,
+  /// behind the host's request and response fabric legs for host I/O.
+  void Attempt(std::shared_ptr<const Io> io, cache::ControllerId ctrl,
+               Reply reply, obs::TraceContext ctx);
+  /// The blade work: a cache read, or the exactly-once write.
+  void Serve(const Io& io, cache::ControllerId ctrl, Reply reply,
+             obs::TraceContext ctx);
   /// Register the labelled per-tenant QoS series (idempotent; called from
   /// AttachObs and AttachQos so attach order doesn't matter).
   void RegisterQosMetrics();
-  /// Root-or-child span entry: starts a trace when `ctx` is inert and a hub
-  /// is attached; otherwise opens a controller child span.  Sets *root.
-  obs::TraceContext StartOp(obs::TraceContext ctx, const char* name,
-                            VolumeId vol, bool* root);
   sim::Engine& engine_;
   net::Fabric& fabric_;
   SystemConfig config_;
@@ -259,13 +267,12 @@ class StorageSystem {
   std::unique_ptr<virt::ChargeBack> chargeback_;
   std::vector<std::unique_ptr<virt::DemandMappedVolume>> volumes_;
   std::uint32_t rr_next_ = 0;
-  std::vector<std::uint32_t> outstanding_;
   // One cluster-wide dedup index: the coherent backplane that lets any
   // blade serve any page also lets any blade see any in-flight write, so
   // a re-drive landing on a different blade still deduplicates.
   cache::WriteDedupIndex dedup_;
   std::uint32_t next_writer_id_ = 1;
-  qos::Scheduler* qos_ = nullptr;
+  qos::Admission admission_{engine_};
   obs::Hub* hub_ = nullptr;
   meta::MetaService* meta_ = nullptr;
   // Hot-path instruments (owned by the hub's registry; null when detached).

@@ -39,9 +39,8 @@ const char* StatusName(Status s) {
 }
 
 FileSystem::FileSystem(controller::StorageSystem& system, Config config)
-    : system_(system), config_(config) {
+    : system_(system), config_(config), writes_(system.AllocWriterId()) {
   volume_ = system_.CreateVolume(config_.tenant, config_.volume_bytes);
-  writer_id_ = system_.AllocWriterId();
   max_chunks_ = config_.volume_bytes / config_.chunk_bytes;
   Inode root;
   root.ino = kRootIno;
@@ -276,27 +275,17 @@ void FileSystem::Write(const std::string& path, std::uint64_t offset,
       });
   for (const Piece& p : pieces) {
     const cache::ControllerId via = system_.PickController(volume_);
-    const cache::WriteId wid = NextWriteId();
+    const cache::WriteId wid = writes_.Next();
     system_.BladeWrite(
         via, volume_, p.vol_offset,
         std::span<const std::uint8_t>(data.data() + p.src, p.len), replication,
         priority, tenant, wid,
         [this, join, wid](bool ok) {
-          unsettled_writes_.erase(wid.seq);
+          writes_.Settle(wid.seq);
           join->Arrive(ok);
         },
         ctx);
   }
-}
-
-cache::WriteId FileSystem::NextWriteId() {
-  const std::uint64_t settled = unsettled_writes_.empty()
-                                    ? next_write_seq_
-                                    : *unsettled_writes_.begin();
-  const cache::WriteId wid{writer_id_, next_write_seq_, settled};
-  unsettled_writes_.insert(next_write_seq_);
-  ++next_write_seq_;
-  return wid;
 }
 
 void FileSystem::Read(const std::string& path, std::uint64_t offset,

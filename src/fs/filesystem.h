@@ -15,7 +15,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -164,11 +163,6 @@ class FileSystem {
                  const std::function<void(const std::string&, const Inode&)>&
                      fn) const;
 
-  /// Stamp the next write id (blade-side dedup token) with the current
-  /// settled cursor; the seq joins the unsettled set until its BladeWrite
-  /// completes (single attempt, so completion == fully resolved).
-  cache::WriteId NextWriteId();
-
   controller::StorageSystem& system_;
   Config config_;
   controller::VolumeId volume_;
@@ -177,9 +171,10 @@ class FileSystem {
   std::uint64_t next_chunk_ = 0;
   std::vector<std::uint64_t> free_chunks_;
   std::uint64_t max_chunks_;
-  std::uint32_t writer_id_ = 0;
-  std::uint64_t next_write_seq_ = 1;
-  std::set<std::uint64_t> unsettled_writes_;
+  /// Write ids for BladeWrite.  Each is stamped with the settled cursor
+  /// when issued and settles when its BladeWrite completes (one attempt,
+  /// so completion means fully resolved).
+  cache::WriteSequencer writes_;
 };
 
 }  // namespace nlss::fs

@@ -139,11 +139,10 @@ void MetaService::UnregisterClient(Client* client) {
 }
 
 void MetaService::TouchDirectory(Directory& dir) {
-  const std::uint64_t old = dir.version;
-  ++dir.version;
-  NLSS_INVARIANT(kMeta, dir.version > old,
-                 "directory %llu version wrapped",
+  NLSS_INVARIANT(kMeta, dir.version != ~std::uint64_t{0},
+                 "directory %llu version would wrap",
                  static_cast<unsigned long long>(dir.id));
+  ++dir.version;
   for (Client* c : clients_) c->OnDirectoryInvalidate(dir.id, dir.version);
   stats_.invalidations += clients_.size();
 }
@@ -170,7 +169,7 @@ void MetaService::Visit(DirId dir, MetaShard::OpClass klass,
     shards_[shard]->Execute(klass, cost_ns, [this, apply, reply, span,
                                              done = std::move(done)]() {
       apply();
-      if (done) done(true);  // blade work finished; reply hop is network
+      done(true);  // blade work finished; reply hop is network
       engine_.Schedule(config_.hop_ns, [reply, span]() {
         obs::EndSpan(span);
         reply();
@@ -193,25 +192,11 @@ void MetaService::Visit(DirId dir, MetaShard::OpClass klass,
                        NLSS_ACCESS(kMeta, check::AccessKey(0xD1Eull, dir),
                                    kRead);
                      }
-                     SubmitToBlade(shard, std::move(serve), span);
+                     admission_.AdmitEventually(
+                         [this, shard] { return BladeOf(shard); },
+                         kMetaOpCostBytes, std::move(serve), span,
+                         &stats_.qos_rejects);
                    });
-}
-
-void MetaService::SubmitToBlade(
-    ShardId shard, std::function<void(std::function<void(bool)>)> serve,
-    obs::TraceContext span) {
-  if (qos_ == nullptr) {
-    serve(nullptr);
-    return;
-  }
-  const std::uint32_t blade = BladeOf(shard) % qos_->blades();
-  if (!qos_->Submit(blade, qos_tenant_, kMetaOpCostBytes, serve, span)) {
-    ++stats_.qos_rejects;
-    engine_.Schedule(config_.qos_retry_delay_ns,
-                     [this, shard, serve = std::move(serve), span]() mutable {
-                       SubmitToBlade(shard, std::move(serve), span);
-                     });
-  }
 }
 
 // --- Lookup / resolve ---------------------------------------------------------
@@ -719,8 +704,7 @@ Status MetaService::BootstrapCreate(const std::string& path, Ino* out_ino) {
 // --- Wiring -------------------------------------------------------------------
 
 void MetaService::AttachQos(qos::Scheduler* qos, qos::TenantId tenant) {
-  qos_ = qos;
-  qos_tenant_ = tenant;
+  admission_.Attach(qos, tenant);
 }
 
 std::uint64_t MetaService::SumClientStat(

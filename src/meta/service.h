@@ -34,6 +34,7 @@
 
 #include "meta/shard.h"
 #include "obs/hub.h"
+#include "qos/admission.h"
 #include "qos/scheduler.h"
 #include "sim/engine.h"
 
@@ -62,8 +63,6 @@ struct ServiceConfig {
   sim::Tick scan_cost_ns = 2500;    // ordered listing / range scan base
   sim::Tick scan_entry_cost_ns = 50;  // per returned entry
   sim::Tick hop_ns = 3000;            // one-way host<->shard fabric hop
-  /// Deterministic backoff before re-submitting a QoS-rejected op.
-  sim::Tick qos_retry_delay_ns = 500 * 1000;
   std::uint64_t map_seed = 0x6d657461;  // shard-map hash seed ("meta")
 };
 
@@ -203,13 +202,6 @@ class MetaService {
              std::function<void()> apply, std::function<void()> reply,
              obs::TraceContext span);
 
-  /// Pass one shard visit through QoS admission when a scheduler is
-  /// attached (deterministic backoff retry on reject); direct dispatch
-  /// otherwise.
-  void SubmitToBlade(ShardId shard,
-                     std::function<void(std::function<void(bool)>)> serve,
-                     obs::TraceContext span);
-
   /// Walk all but the last component; cb(status, parent_dir).
   void WalkToParent(std::shared_ptr<std::vector<std::string>> parts,
                     std::size_t next, DirId dir,
@@ -242,8 +234,7 @@ class MetaService {
   Ino next_ino_ = kRootDir + 1;
   std::vector<Client*> clients_;  // registration order: deterministic
   ServiceStats stats_;
-  qos::Scheduler* qos_ = nullptr;
-  qos::TenantId qos_tenant_ = qos::kAutoTenant;
+  qos::Admission admission_{engine_};
   obs::Hub* hub_ = nullptr;
 };
 

@@ -12,6 +12,9 @@
 //      │            caller fails the op; the host multipath      next WFQ
 //      │            retry provides the backpressure delay        dispatch
 //
+// Callers enter through qos::Admission (admission.h), which decides what a
+// rejection means for them.
+//
 // All waiting is DES-scheduled on sim::Engine (a single wake-up event is
 // planted at the earliest token-eligibility tick when every queued head is
 // throttled), so runs remain bit-reproducible.

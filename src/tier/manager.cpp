@@ -46,8 +46,7 @@ TierManager::TierManager(sim::Engine& engine, cache::CacheCluster& cluster,
 }
 
 void TierManager::AttachQos(qos::Scheduler* qos, qos::TenantId tenant) {
-  qos_ = qos;
-  qos_tenant_ = tenant;
+  admission_.Attach(qos, tenant);
 }
 
 // --- Entry plumbing -----------------------------------------------------------
@@ -529,35 +528,19 @@ void TierManager::MaybeDemote(cache::ControllerId ctrl, bool force) {
   };
   const std::uint64_t cost_bytes =
       static_cast<std::uint64_t>(batch.size()) * cluster_.config().page_bytes;
-  auto launch = std::make_shared<std::function<void(std::function<void(bool)>)>>(
-      [this, ctrl, batch = std::move(batch)](
-          std::function<void(bool)> done) mutable {
-        IssueDemote(ctrl, std::move(batch), std::move(done));
-      });
   // The whole batch is one QoS admission: demotion is background traffic
-  // and must queue behind foreground tenants' tokens.  Rejections retry
-  // after a deterministic backoff (the MetaService pattern).
-  auto submit = [this, ctrl, launch, finish, cost_bytes](auto&& self) -> void {
-    if (qos_ == nullptr) {
-      (*launch)(finish);
-      return;
-    }
-    const std::uint32_t blade = ctrl % qos_->blades();
-    qos::Scheduler::Launch qlaunch = [launch,
-                                      finish](std::function<void(bool)> done) {
-      (*launch)([finish, done = std::move(done)](bool ok) {
-        if (done) done(ok);
-        finish(ok);
-      });
-    };
-    if (!qos_->Submit(blade, qos_tenant_, cost_bytes, std::move(qlaunch),
-                      {})) {
-      ++stats_.qos_rejects;
-      engine_.Schedule(config_.qos_retry_delay_ns,
-                       [self]() mutable { self(self); });
-    }
-  };
-  submit(submit);
+  // and must queue behind foreground tenants' tokens.
+  admission_.AdmitEventually(
+      [ctrl] { return ctrl; }, cost_bytes,
+      [this, ctrl, batch = std::move(batch),
+       finish](std::function<void(bool)> done) mutable {
+        IssueDemote(ctrl, std::move(batch),
+                    [finish, done = std::move(done)](bool ok) {
+                      done(ok);
+                      finish(ok);
+                    });
+      },
+      {}, &stats_.qos_rejects);
 }
 
 void TierManager::IssueDemote(cache::ControllerId ctrl,

@@ -43,6 +43,7 @@
 #include "cache/types.h"
 #include "obs/hub.h"
 #include "obs/trace.h"
+#include "qos/admission.h"
 #include "qos/scheduler.h"
 #include "sim/engine.h"
 #include "sim/resource.h"
@@ -80,8 +81,6 @@ struct Config {
   /// Occupancy fraction demotion drives the lane back down to.
   double demote_target = 0.75;
   std::uint32_t demote_batch_pages = 8;
-  /// Retry delay when QoS admission bounces a demotion batch.
-  sim::Tick qos_retry_delay_ns = 500 * 1000;
 
   // --- Cooling (DRAM pre-eviction) ----------------------------------------
   /// Minimum simulated time between cooling scans per blade.
@@ -231,8 +230,7 @@ class TierManager final : public cache::TierHook {
   std::vector<std::unique_ptr<Lane>> lanes_;
   /// Cluster-wide single-location index: page -> holding blade.
   std::map<cache::PageKey, cache::ControllerId> loc_;
-  qos::Scheduler* qos_ = nullptr;
-  qos::TenantId qos_tenant_ = qos::kDefaultTenant;
+  qos::Admission admission_{engine_};
   obs::Tracer* tracer_ = nullptr;
   const cache::WriteDedupIndex* dedup_ = nullptr;
   Stats stats_;

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "controller/highspeed.h"
 #include "controller/system.h"
+#include "obs/hub.h"
+#include "qos/scheduler.h"
 #include "sim/engine.h"
 #include "util/bytes.h"
 #include "util/rng.h"
@@ -49,6 +54,62 @@ class SystemTest : public ::testing::Test {
     util::Bytes b(n);
     util::FillPattern(b, seed);
     return b;
+  }
+
+  /// One call of a public I/O entry point; `done(ok)` fires on completion.
+  struct EntryCall {
+    const char* name;
+    bool write;
+    bool retried;  // balancer-picked blade behind the driver retry loop
+    std::function<void(obs::TraceContext, std::function<void(bool)>)> issue;
+  };
+
+  /// All six public I/O entry points, each on one 4 KiB page of `vol`.
+  std::vector<EntryCall> EntryCalls(VolumeId vol) {
+    constexpr std::uint32_t kLen = 4 * util::KiB;
+    const auto data = std::make_shared<const util::Bytes>(Pattern(kLen, 9));
+    const std::uint32_t writer = system_->AllocWriterId();
+    auto seq = std::make_shared<std::uint64_t>(0);
+    auto wid = [writer, seq] {
+      ++*seq;
+      return cache::WriteId{writer, *seq, *seq};
+    };
+    const std::uint32_t replication = system_->config().cache.replication;
+    using Done = std::function<void(bool)>;
+    auto on_read = [](Done done) {
+      return [done](bool ok, util::Bytes) { done(ok); };
+    };
+    return {
+        {"Read", false, true,
+         [=, this](obs::TraceContext ctx, Done done) {
+           system_->Read(host_, vol, 0, kLen, on_read(done), 0,
+                         qos::kAutoTenant, ctx);
+         }},
+        {"ReadVia", false, false,
+         [=, this](obs::TraceContext ctx, Done done) {
+           system_->ReadVia(host_, 1, vol, 0, kLen, on_read(done), 0,
+                            qos::kAutoTenant, ctx);
+         }},
+        {"BladeRead", false, false,
+         [=, this](obs::TraceContext ctx, Done done) {
+           system_->BladeRead(2, vol, 0, kLen, 0, qos::kAutoTenant,
+                              on_read(done), ctx);
+         }},
+        {"Write", true, true,
+         [=, this](obs::TraceContext ctx, Done done) {
+           system_->Write(host_, vol, 0, *data, done, qos::kAutoTenant, ctx);
+         }},
+        {"WriteVia", true, false,
+         [=, this](obs::TraceContext ctx, Done done) {
+           system_->WriteVia(host_, 1, vol, 0, *data, wid(), done, 0,
+                             qos::kAutoTenant, ctx);
+         }},
+        {"BladeWrite", true, false,
+         [=, this](obs::TraceContext ctx, Done done) {
+           system_->BladeWrite(2, vol, 0, *data, replication, 0,
+                               qos::kAutoTenant, wid(), done, ctx);
+         }},
+    };
   }
 
   sim::Engine engine_;
@@ -152,10 +213,13 @@ TEST_F(SystemTest, WritePolicyReplicationOverride) {
   config.cache.flush_delay_ns = 500 * util::kNsPerMs;
   Build(config);
   const VolumeId vol = system_->CreateVolume("t", 32 * util::MiB);
-  // Critical file: 3-way; scratch file: 1-way (no copies).
+  // Critical file: 3-way, through the per-request override the file
+  // system's per-file policies use.
   bool ok = false;
-  system_->WriteReplicated(host_, vol, 0, Pattern(64 * util::KiB, 1), 3,
-                           [&](bool r) { ok = r; });
+  const cache::WriteId wid{system_->AllocWriterId(), 1, 1};
+  system_->BladeWrite(system_->PickController(vol), vol, 0,
+                      Pattern(64 * util::KiB, 1), 3, /*priority=*/0,
+                      qos::kAutoTenant, wid, [&](bool r) { ok = r; });
   // Run past the ack but not past the delayed write-back flush.
   engine_.RunFor(100 * util::kNsPerMs);
   ASSERT_TRUE(ok);
@@ -167,6 +231,134 @@ TEST_F(SystemTest, WritePolicyReplicationOverride) {
         });
   }
   EXPECT_EQ(replicas, 2u);
+}
+
+// Every public entry point is one op to the metrics and the tracer: one
+// counter tick, one latency sample, and a span that closes when the call
+// completes, whether it roots its own trace or is a child span.
+TEST_F(SystemTest, EveryEntryPointIsOneObservedOp) {
+  Build();
+  obs::Tracer::Config tc;
+  tc.keep_recent = 4096;  // background flush traces must not evict ours
+  obs::Hub hub(engine_, tc);
+  system_->AttachObs(&hub);
+  const VolumeId vol = system_->CreateVolume("t", 8 * util::MiB);
+  obs::Registry& m = hub.metrics();
+  const obs::Counter& reads = m.counter("nlss_controller_reads_total", "");
+  const obs::Counter& writes = m.counter("nlss_controller_writes_total", "");
+  const obs::Counter& failures =
+      m.counter("nlss_controller_io_failures_total", "");
+  const util::Histogram& read_ns =
+      m.histogram("nlss_controller_read_latency_ns", "");
+  const util::Histogram& write_ns =
+      m.histogram("nlss_controller_write_latency_ns", "");
+  obs::Tracer& tracer = hub.tracer();
+
+  for (const EntryCall& call : EntryCalls(vol)) {
+    const std::string span = call.write ? "controller.write"
+                                        : "controller.read";
+    for (const bool parented : {false, true}) {
+      SCOPED_TRACE(std::string(call.name) +
+                   (parented ? " under a caller's trace" : " as a root"));
+      const std::uint64_t r0 = reads.value(), w0 = writes.value();
+      const std::uint64_t f0 = failures.value();
+      const std::uint64_t rl0 = read_ns.count(), wl0 = write_ns.count();
+      obs::TraceContext parent;
+      if (parented) parent = tracer.StartTrace(obs::Layer::kHost, "caller");
+      const sim::Tick start = engine_.now();
+      int fired = 0;
+      bool ok = false;
+      sim::Tick at = 0;
+      call.issue(parent, [&](bool r) {
+        ++fired;
+        ok = r;
+        at = engine_.now();
+      });
+      engine_.Run();
+      ASSERT_EQ(fired, 1);
+      EXPECT_TRUE(ok);
+      EXPECT_EQ(reads.value() - r0, call.write ? 0u : 1u);
+      EXPECT_EQ(writes.value() - w0, call.write ? 1u : 0u);
+      EXPECT_EQ(read_ns.count() - rl0, call.write ? 0u : 1u);
+      EXPECT_EQ(write_ns.count() - wl0, call.write ? 1u : 0u);
+      EXPECT_EQ(failures.value(), f0);
+
+      // End the caller's trace later than the call completed: a span the
+      // controller left open would be closed then, at the later tick.
+      if (parented) {
+        engine_.RunFor(util::kNsPerMs);
+        tracer.EndTrace(parent, true);
+      }
+      EXPECT_EQ(tracer.active(), 0u) << "a trace was left open";
+      int spans = 0;
+      for (const obs::FinishedTrace& t : tracer.recent()) {
+        for (const obs::Span& s : t.spans) {
+          if (s.name == span && s.start == start) {
+            ++spans;
+            EXPECT_EQ(s.end, at);
+            EXPECT_EQ(s.parent == 0, !parented);
+          }
+        }
+      }
+      EXPECT_EQ(spans, 1);
+    }
+  }
+}
+
+// A QoS rejection at a controller entry fails the attempt at +0 ns; only
+// the driver-retried entries (Read, Write) try again, 1 + 2 attempts 1 ms
+// apart, and each call is still one op with one failure.
+TEST_F(SystemTest, QosRejectionFailsEachEntryAttempt) {
+  Build();
+  obs::Hub hub(engine_);
+  system_->AttachObs(&hub);
+  const VolumeId vol = system_->CreateVolume("t", 8 * util::MiB);
+  qos::TenantRegistry registry;
+  qos::Scheduler::Config qc;
+  qc.max_queue_per_blade = 0;  // admission control rejects every request
+  qos::Scheduler qos(engine_, registry, system_->controller_count(), qc);
+  system_->AttachQos(&qos);
+  const auto rejected = [&qos] {
+    std::uint64_t n = 0;
+    for (const auto& [t, s] : qos.slo().all()) n += s.rejected;
+    return n;
+  };
+  obs::Registry& m = hub.metrics();
+  const obs::Counter& reads = m.counter("nlss_controller_reads_total", "");
+  const obs::Counter& writes = m.counter("nlss_controller_writes_total", "");
+  const obs::Counter& failures =
+      m.counter("nlss_controller_io_failures_total", "");
+  const util::Histogram& read_ns =
+      m.histogram("nlss_controller_read_latency_ns", "");
+  const util::Histogram& write_ns =
+      m.histogram("nlss_controller_write_latency_ns", "");
+
+  for (const EntryCall& call : EntryCalls(vol)) {
+    SCOPED_TRACE(call.name);
+    const std::uint64_t ops0 = reads.value() + writes.value();
+    const std::uint64_t lat0 = read_ns.count() + write_ns.count();
+    const std::uint64_t f0 = failures.value();
+    const std::uint64_t rejected0 = rejected();
+    const sim::Tick start = engine_.now();
+    int fired = 0;
+    bool ok = true;
+    sim::Tick at = 0;
+    call.issue({}, [&](bool r) {
+      ++fired;
+      ok = r;
+      at = engine_.now();
+    });
+    engine_.Run();
+    ASSERT_EQ(fired, 1);
+    EXPECT_FALSE(ok);
+    const std::uint64_t attempts = call.retried ? 3 : 1;
+    EXPECT_EQ(rejected() - rejected0, attempts);
+    EXPECT_EQ(at - start, (attempts - 1) * util::kNsPerMs);
+    EXPECT_EQ(reads.value() + writes.value() - ops0, 1u);
+    EXPECT_EQ(read_ns.count() + write_ns.count() - lat0, 1u);
+    EXPECT_EQ(failures.value() - f0, 1u);
+  }
+  EXPECT_EQ(hub.tracer().active(), 0u);
 }
 
 TEST_F(SystemTest, ChargebackIntegration) {

@@ -13,6 +13,8 @@
 #include "mgmt/admin_http.h"
 #include "net/fabric.h"
 #include "obs/hub.h"
+#include "qos/scheduler.h"
+#include "qos/tenant.h"
 #include "security/auth.h"
 #include "sim/engine.h"
 #include "tier/heat.h"
@@ -242,6 +244,59 @@ TEST_F(TierTest, DirtyDemotionVsConcurrentRewriteIsSeqOrdered) {
   engine_.Run();
   ASSERT_TRUE(ok);
   EXPECT_EQ(got, v2);
+}
+
+// Demotion is background traffic: a batch QoS admission rejects is
+// counted and re-submitted every 500 us until admitted, then completes.
+TEST_F(TierTest, QosRejectedDemotionIsResubmittedEvery500us) {
+  Build(1);
+  const cache::PageKey key{kVol, 3};
+  const util::Bytes data = Pattern(PageBytes(), 5);
+  bool absorbed = false;
+  ASSERT_TRUE(tier_->TierWriteBack(0, {{key, 1, {}}}, data,
+                                   [&](bool ok) { absorbed = ok; }, {}));
+  engine_.Run();
+  ASSERT_TRUE(absorbed);
+
+  qos::TenantRegistry registry;
+  const qos::TenantId tenant =
+      registry.Register("tier", qos::ServiceClass::kBronze);
+  const qos::ClassSpec open = registry.spec(qos::ServiceClass::kBronze);
+  qos::ClassSpec shut = open;
+  shut.max_queue_depth = 0;  // every demotion batch is rejected
+  registry.SetClassSpec(qos::ServiceClass::kBronze, shut);
+  qos::Scheduler qos(engine_, registry, 1);
+  tier_->AttachQos(&qos, tenant);
+
+  const sim::Tick start = engine_.now();
+  const auto at_us = [start](sim::Tick us) {
+    return start + us * util::kNsPerUs;
+  };
+  // Sample the reject count between attempts, and reopen admission just
+  // before the fourth attempt (+1500 us).
+  std::vector<std::uint64_t> rejects;
+  for (const sim::Tick us : {250, 750, 1250}) {
+    engine_.ScheduleAt(at_us(us), [&] {
+      rejects.push_back(tier_->stats().qos_rejects);
+    });
+  }
+  engine_.ScheduleAt(at_us(1400), [&] {
+    registry.SetClassSpec(qos::ServiceClass::kBronze, open);
+  });
+  bool drained = false;
+  sim::Tick drained_at = 0;
+  tier_->DrainDirty([&](bool ok) {
+    drained = ok;
+    drained_at = engine_.now();
+  });
+  engine_.Run();
+  EXPECT_EQ(rejects, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(tier_->stats().qos_rejects, 3u);
+  EXPECT_EQ(qos.slo().stats(tenant).rejected, 3u);
+  ASSERT_TRUE(drained);
+  EXPECT_GT(drained_at, at_us(1500));
+  EXPECT_EQ(tier_->stats().demotions, 1u);
+  EXPECT_EQ(tier_->FlashDirtyPages(0), 0u);
 }
 
 TEST_F(TierTest, InFlightSpillIsJoinableWithoutDuplicateFetch) {
