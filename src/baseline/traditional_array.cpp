@@ -4,22 +4,11 @@
 #include <cstring>
 #include <memory>
 
+#include "util/join.h"
+
 namespace nlss::baseline {
-namespace {
 
-struct Join {
-  Join(int n, std::function<void(bool)> done)
-      : remaining(n), on_done(std::move(done)) {}
-  int remaining;
-  bool ok = true;
-  std::function<void(bool)> on_done;
-  void Arrive(bool success) {
-    ok = ok && success;
-    if (--remaining == 0) on_done(ok);
-  }
-};
-
-}  // namespace
+using util::Join;
 
 TraditionalArray::TraditionalArray(sim::Engine& engine, net::Fabric& fabric,
                                    Config config)

@@ -8,8 +8,12 @@
 
 #include "check/invariant.h"
 #include "check/race.h"
+#include "util/join.h"
 
 namespace nlss::cache {
+
+using util::Join;
+
 namespace {
 
 /// Race-detector key for a page: every NLSS_ACCESS in the cache layer keys
@@ -17,18 +21,6 @@ namespace {
 inline std::uint64_t RaceKey(const PageKey& key) {
   return PageKeyHash{}(key);
 }
-
-struct Join {
-  Join(int n, std::function<void(bool)> done)
-      : remaining(n), on_done(std::move(done)) {}
-  int remaining;
-  bool ok = true;
-  std::function<void(bool)> on_done;
-  void Arrive(bool success) {
-    ok = ok && success;
-    if (--remaining == 0) on_done(ok);
-  }
-};
 
 }  // namespace
 

@@ -1,14 +1,20 @@
 // Parallel file system integrated on the controller blades (paper §4).
 //
-// The namespace and inode table are controller-resident metadata; file data
-// lives in chunks allocated from a demand-mapped volume and is accessed
+// The namespace is the meta::Namespace core — the same directory table and
+// mutation rules the sharded metadata service applies — run inline:
+// namespace ops are controller-local and synchronous, taking no simulated
+// time.  This layer adds per-file attributes keyed by the core's inode
+// numbers (type, size, backing chunks, FilePolicy) and the data path: file
+// data lives in chunks allocated from a demand-mapped volume and is accessed
 // through the coherent cache cluster, so any blade can serve any file.
 //
 // The paper's "extended metadata" is the FilePolicy: per-file (not
 // per-volume) knobs for cache retention, write-back fault tolerance
 // (N-way cache replication), geographic replication mode/extent, and RAID
-// preference.  The geo layer (src/geo) consumes the geo fields; the data
-// path here consumes the cache replication field on every write.
+// preference.  The data path here bills every I/O to the policy's QoS
+// tenant with its cache priority, and writes with its cache replication;
+// the geo layer (src/geo) applies the geo fields to the files it creates.
+// The RAID preference is recorded but no layer places by it yet.
 #pragma once
 
 #include <cstdint>
@@ -19,16 +25,17 @@
 #include <vector>
 
 #include "controller/system.h"
-#include "meta/btree.h"
+#include "meta/namespace.h"
 #include "qos/tenant.h"
 #include "raid/layout.h"
 #include "util/bytes.h"
 
 namespace nlss::fs {
 
-using InodeNum = std::uint64_t;
-inline constexpr InodeNum kRootIno = 1;
+using InodeNum = meta::Ino;
 
+/// The first seven values are meta::Status's, in order: namespace answers
+/// pass through unchanged.
 enum class Status {
   kOk,
   kNotFound,
@@ -40,8 +47,6 @@ enum class Status {
   kNoSpace,
   kIoError,
 };
-
-const char* StatusName(Status s);
 
 /// Per-file extended metadata (paper §4).
 struct FilePolicy {
@@ -66,10 +71,6 @@ struct Inode {
   std::uint64_t size = 0;
   FilePolicy policy;
   std::vector<std::uint64_t> chunks;  // volume chunk indices
-  /// Directories only: ordered B-tree dentry index (lexicographic listing,
-  /// range scans).  The is_dir flag in each dentry is advisory here — the
-  /// inode table stays authoritative for types.
-  meta::DentryIndex entries;
 };
 
 class FileSystem {
@@ -114,12 +115,6 @@ class FileSystem {
   void Truncate(const std::string& path, std::uint64_t new_size,
                 WriteCallback cb);
 
-  // --- Persistence --------------------------------------------------------------
-  /// Serialize the namespace + inode table (for metadata checkpoints and
-  /// the geo layer's catch-up shipping).
-  util::Bytes SerializeMetadata() const;
-  Status LoadMetadata(std::span<const std::uint8_t> blob);
-
   // --- Quota (automated resource administration, paper §3) -----------------
   /// Change the hard quota; shrinking below current usage is allowed — it
   /// just blocks further growth.
@@ -136,20 +131,19 @@ class FileSystem {
   const Config& config() const { return config_; }
   controller::StorageSystem& system() { return system_; }
 
-  /// Iterate over all files (path, inode); used by the geo replicator.
-  void ForEachFile(
-      const std::function<void(const std::string&, const Inode&)>& fn) const;
-
  private:
-  struct Resolved {
-    Inode* parent = nullptr;
-    Inode* node = nullptr;   // nullptr if the leaf does not exist
-    std::string leaf;
+  /// One chunk-contained slice of a file byte range: its volume offset and
+  /// its offset in the caller's buffer.
+  struct Piece {
+    std::uint64_t vol_offset;
+    std::size_t buf;
+    std::uint32_t len;
   };
 
-  static std::vector<std::string> SplitPath(const std::string& path);
-  Resolved Resolve(const std::string& path);
-  const Inode* ResolveConst(const std::string& path) const;
+  Inode* Lookup(const std::string& path);
+  /// Split [offset, offset + length) of `inode` at chunk boundaries.
+  std::vector<Piece> Split(const Inode& inode, std::uint64_t offset,
+                           std::uint64_t length) const;
 
   std::uint64_t AllocateChunk();
   void FreeChunk(std::uint64_t chunk);
@@ -159,15 +153,11 @@ class FileSystem {
     return chunk * config_.chunk_bytes;
   }
 
-  void WalkFiles(const Inode& dir, const std::string& prefix,
-                 const std::function<void(const std::string&, const Inode&)>&
-                     fn) const;
-
   controller::StorageSystem& system_;
   Config config_;
   controller::VolumeId volume_;
-  std::map<InodeNum, Inode> inodes_;
-  InodeNum next_ino_ = kRootIno + 1;
+  meta::Namespace ns_;
+  std::map<InodeNum, Inode> inodes_;  // keyed by ns_'s inode numbers
   std::uint64_t next_chunk_ = 0;
   std::vector<std::uint64_t> free_chunks_;
   std::uint64_t max_chunks_;

@@ -5,22 +5,11 @@
 #include <cmath>
 #include <memory>
 
+#include "util/join.h"
+
 namespace nlss::geo {
-namespace {
 
-struct Join {
-  Join(int n, std::function<void(bool)> done)
-      : remaining(n), on_done(std::move(done)) {}
-  int remaining;
-  bool ok = true;
-  std::function<void(bool)> on_done;
-  void Arrive(bool success) {
-    ok = ok && success;
-    if (--remaining == 0) on_done(ok);
-  }
-};
-
-}  // namespace
+using util::Join;
 
 double DistanceKm(const Location& a, const Location& b) {
   const double dx = a.x_km - b.x_km;

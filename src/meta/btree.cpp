@@ -41,11 +41,6 @@ const Dentry* DentryIndex::Find(const std::string& name) const {
   return &node->vals[static_cast<std::size_t>(it - node->keys.begin())];
 }
 
-Dentry* DentryIndex::FindMutable(const std::string& name) {
-  return const_cast<Dentry*>(
-      static_cast<const DentryIndex*>(this)->Find(name));
-}
-
 DentryIndex::SplitResult DentryIndex::InsertRec(Node* node,
                                                 const std::string& name,
                                                 const Dentry& dentry) {

@@ -52,7 +52,7 @@ void Client::Resolve(const std::string& path, MetaService::ResolveCallback cb,
     }
   }
   auto parts = std::make_shared<std::vector<std::string>>(
-      MetaService::SplitPath(path));
+      Namespace::SplitPath(path));
   if (parts->empty()) {
     // The root needs no walk; serve it like a local hit.
     ++stats_.full_hits;

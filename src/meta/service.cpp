@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <tuple>
 
-#include "check/invariant.h"
 #include "check/race.h"
 #include "meta/client.h"
 
@@ -23,19 +22,6 @@ std::uint64_t Mix64(std::uint64_t x) {
 }
 }  // namespace
 
-const char* StatusName(Status s) {
-  switch (s) {
-    case Status::kOk: return "ok";
-    case Status::kNotFound: return "not_found";
-    case Status::kExists: return "exists";
-    case Status::kNotDirectory: return "not_directory";
-    case Status::kIsDirectory: return "is_directory";
-    case Status::kNotEmpty: return "not_empty";
-    case Status::kInvalidArgument: return "invalid_argument";
-  }
-  return "?";
-}
-
 MetaService::MetaService(sim::Engine& engine, ServiceConfig config)
     : engine_(engine), config_(config) {
   if (config_.shards == 0) config_.shards = 1;
@@ -45,25 +31,9 @@ MetaService::MetaService(sim::Engine& engine, ServiceConfig config)
     shards_.push_back(std::make_unique<MetaShard>(engine_, s));
   }
   blade_up_.assign(config_.blades, true);
-  shards_[ShardOf(kRootDir)]->Create(kRootDir, 0);
 }
 
 MetaService::~MetaService() = default;
-
-std::vector<std::string> MetaService::SplitPath(const std::string& path) {
-  std::vector<std::string> parts;
-  std::string cur;
-  for (const char c : path) {
-    if (c == '/') {
-      if (!cur.empty()) parts.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) parts.push_back(cur);
-  return parts;
-}
 
 // --- Shard map ----------------------------------------------------------------
 
@@ -85,10 +55,8 @@ std::uint32_t MetaService::BladeOf(ShardId shard) const {
 
 Status MetaService::MoveDirectory(DirId dir, ShardId to) {
   if (to >= shards_.size()) return Status::kInvalidArgument;
-  const ShardId cur = ShardOf(dir);
-  if (shards_[cur]->Find(dir) == nullptr) return Status::kNotFound;
-  if (cur == to) return Status::kOk;
-  shards_[cur]->MoveOut(dir, *shards_[to]);
+  if (ns_.Find(dir) == nullptr) return Status::kNotFound;
+  if (ShardOf(dir) == to) return Status::kOk;
   shard_overrides_[dir] = to;
   ++map_epoch_;
   ++stats_.moved_dirs;
@@ -115,16 +83,14 @@ void MetaService::OnBladeUp(std::uint32_t blade) {
 
 // --- Directory table ----------------------------------------------------------
 
-Directory* MetaService::FindDir(DirId dir) {
-  return shards_[ShardOf(dir)]->Find(dir);
-}
-const Directory* MetaService::FindDir(DirId dir) const {
-  return shards_[ShardOf(dir)]->Find(dir);
+std::uint64_t MetaService::DirVersion(DirId dir) const {
+  return ns_.Version(dir);
 }
 
-std::uint64_t MetaService::DirVersion(DirId dir) const {
-  const Directory* d = FindDir(dir);
-  return d == nullptr ? 0 : d->version;
+std::size_t MetaService::DirCount(ShardId shard) const {
+  std::size_t n = 0;
+  for (const auto& [id, dir] : ns_.dirs()) n += ShardOf(id) == shard ? 1 : 0;
+  return n;
 }
 
 // --- Coherence ----------------------------------------------------------------
@@ -138,12 +104,21 @@ void MetaService::UnregisterClient(Client* client) {
                  clients_.end());
 }
 
-void MetaService::TouchDirectory(Directory& dir) {
-  NLSS_INVARIANT(kMeta, dir.version != ~std::uint64_t{0},
-                 "directory %llu version would wrap",
-                 static_cast<unsigned long long>(dir.id));
-  ++dir.version;
-  for (Client* c : clients_) c->OnDirectoryInvalidate(dir.id, dir.version);
+void MetaService::Publish(const Change& change) {
+  if (change.touched[0] == 0) return;  // a no-op self rename
+  ++stats_.mutations;
+  for (const DirId dir : change.touched) {
+    if (dir != 0) TouchDirectory(dir);
+  }
+  if (change.removed_dir != 0) {
+    shard_overrides_.erase(change.removed_dir);
+    InvalidateGone(change.removed_dir);
+  }
+}
+
+void MetaService::TouchDirectory(DirId dir) {
+  const std::uint64_t version = ns_.BumpVersion(dir);
+  for (Client* c : clients_) c->OnDirectoryInvalidate(dir, version);
   stats_.invalidations += clients_.size();
 }
 
@@ -209,13 +184,8 @@ void MetaService::LookupStep(DirId dir, const std::string& name,
   Visit(
       dir, MetaShard::OpClass::kLookup, config_.lookup_cost_ns,
       [this, dir, name, result]() {
-        Directory* d = FindDir(dir);
-        if (d == nullptr) return;  // stays kNotFound, version 0
-        const Dentry* e = d->entries.Find(name);
-        std::get<2>(*result) = d->version;
-        if (e == nullptr) return;
-        std::get<0>(*result) = Status::kOk;
-        std::get<1>(*result) = *e;
+        std::get<0>(*result) = ns_.Lookup(dir, name, &std::get<1>(*result),
+                                          &std::get<2>(*result));
       },
       [cb = std::move(cb), result]() {
         cb(std::get<0>(*result), std::get<1>(*result), std::get<2>(*result));
@@ -229,7 +199,7 @@ void MetaService::DelegateDirectory(DirId dir, DelegateCallback cb,
   bool root = false;
   obs::TraceContext op = StartOp(ctx, "meta.delegate", &root);
   // Billed like a full listing: base scan cost plus every entry copied.
-  const Directory* d = FindDir(dir);
+  const Directory* d = ns_.Find(dir);
   const std::size_t approx = d == nullptr ? 0 : d->entries.size();
   auto result =
       std::make_shared<std::tuple<Status, std::map<std::string, Dentry>,
@@ -240,7 +210,7 @@ void MetaService::DelegateDirectory(DirId dir, DelegateCallback cb,
       config_.scan_cost_ns +
           config_.scan_entry_cost_ns * static_cast<sim::Tick>(approx),
       [this, dir, result]() {
-        Directory* d2 = FindDir(dir);
+        const Directory* d2 = ns_.Find(dir);
         if (d2 == nullptr) return;  // stays kNotFound
         std::get<0>(*result) = Status::kOk;
         d2->entries.ForEach([&](const std::string& name, const Dentry& de) {
@@ -256,18 +226,22 @@ void MetaService::DelegateDirectory(DirId dir, DelegateCallback cb,
       op);
 }
 
-void MetaService::ResolveStep(std::shared_ptr<std::vector<std::string>> parts,
-                              std::size_t i, DirId dir, ResolveCallback done,
-                              obs::TraceContext ctx) {
+void MetaService::Walk(std::shared_ptr<std::vector<std::string>> parts,
+                       std::size_t i, std::size_t end, DirId dir,
+                       ResolveCallback done, obs::TraceContext ctx) {
+  if (i == end) {
+    done(Status::kOk, Dentry{dir, true});
+    return;
+  }
   LookupStep(
       dir, (*parts)[i],
-      [this, parts, i, done = std::move(done), ctx](Status st, Dentry d,
-                                                    std::uint64_t) {
+      [this, parts, i, end, done = std::move(done), ctx](Status st, Dentry d,
+                                                         std::uint64_t) {
         if (st != Status::kOk) {
           done(st, {});
           return;
         }
-        if (i + 1 == parts->size()) {
+        if (i + 1 == end) {
           done(Status::kOk, d);
           return;
         }
@@ -275,7 +249,7 @@ void MetaService::ResolveStep(std::shared_ptr<std::vector<std::string>> parts,
           done(Status::kNotDirectory, {});
           return;
         }
-        ResolveStep(parts, i + 1, d.ino, done, ctx);
+        Walk(parts, i + 1, end, d.ino, done, ctx);
       },
       ctx);
 }
@@ -285,7 +259,8 @@ void MetaService::Resolve(const std::string& path, ResolveCallback cb,
   bool root = false;
   obs::TraceContext op = StartOp(ctx, "meta.resolve", &root);
   ++stats_.resolves;
-  auto parts = std::make_shared<std::vector<std::string>>(SplitPath(path));
+  auto parts = std::make_shared<std::vector<std::string>>(
+      Namespace::SplitPath(path));
   auto done = [this, cb = std::move(cb), op, root](Status st, Dentry d) {
     FinishOp(op, root, st == Status::kOk);
     cb(st, d);
@@ -296,298 +271,129 @@ void MetaService::Resolve(const std::string& path, ResolveCallback cb,
     });
     return;
   }
-  ResolveStep(parts, 0, kRootDir, std::move(done), op);
-}
-
-void MetaService::WalkToParent(
-    std::shared_ptr<std::vector<std::string>> parts, std::size_t next,
-    DirId dir, std::function<void(Status, DirId)> cb, obs::TraceContext ctx) {
-  if (next + 1 >= parts->size()) {
-    cb(Status::kOk, dir);
-    return;
-  }
-  LookupStep(
-      dir, (*parts)[next],
-      [this, parts, next, cb = std::move(cb), ctx](Status st, Dentry d,
-                                                   std::uint64_t) {
-        if (st != Status::kOk) {
-          cb(st, 0);
-          return;
-        }
-        if (!d.is_dir) {
-          cb(Status::kNotDirectory, 0);
-          return;
-        }
-        WalkToParent(parts, next + 1, d.ino, cb, ctx);
-      },
-      ctx);
+  Walk(parts, 0, parts->size(), kRootDir, std::move(done), op);
 }
 
 // --- Mutations ----------------------------------------------------------------
 
-void MetaService::Mkdir(const std::string& path, StatusCallback cb,
-                        obs::TraceContext ctx) {
-  bool root = false;
-  obs::TraceContext op = StartOp(ctx, "meta.mkdir", &root);
-  auto parts = std::make_shared<std::vector<std::string>>(SplitPath(path));
-  auto done = [this, cb = std::move(cb), op, root](Status st) {
-    FinishOp(op, root, st == Status::kOk);
-    cb(st);
+struct MetaService::Mutation {
+  std::vector<std::shared_ptr<std::vector<std::string>>> parts;
+  std::vector<std::string> leaves;
+  std::vector<DirId> parents;  // filled by the walk, in path order
+  MutationRule rule;
+  MutationCallback done;
+  obs::TraceContext op;
+};
+
+MetaService::MutationRule MetaService::AtParent(Namespace::Rule rule) {
+  return [this, rule](const std::vector<DirId>& parents,
+                      const std::vector<std::string>& leaves,
+                      Change* change) {
+    return (ns_.*rule)(parents[0], leaves[0], change);
   };
-  if (parts->empty()) {
-    engine_.Schedule(
-        0, [done = std::move(done)]() { done(Status::kInvalidArgument); });
+}
+
+void MetaService::Mutate(const char* op_name, std::vector<std::string> paths,
+                         MutationRule rule, MutationCallback cb,
+                         obs::TraceContext ctx) {
+  bool root = false;
+  obs::TraceContext op = StartOp(ctx, op_name, &root);
+  auto m = std::make_shared<Mutation>();
+  m->rule = std::move(rule);
+  m->op = op;
+  m->done = [this, cb = std::move(cb), op, root](Status st,
+                                                 const Change& change) {
+    FinishOp(op, root, st == Status::kOk);
+    cb(st, change);
+  };
+  for (const std::string& path : paths) {
+    m->parts.push_back(std::make_shared<std::vector<std::string>>(
+        Namespace::SplitPath(path)));
+    if (m->parts.back()->empty()) {
+      engine_.Schedule(
+          0, [m]() { m->done(Status::kInvalidArgument, Change{}); });
+      return;
+    }
+    m->leaves.push_back(m->parts.back()->back());
+  }
+  WalkParents(std::move(m));
+}
+
+void MetaService::WalkParents(std::shared_ptr<Mutation> m) {
+  const std::size_t k = m->parents.size();
+  if (k < m->parts.size()) {
+    Walk(
+        m->parts[k], 0, m->parts[k]->size() - 1, kRootDir,
+        [this, m](Status st, Dentry parent) {
+          if (st == Status::kOk && !parent.is_dir) st = Status::kNotDirectory;
+          if (st != Status::kOk) {
+            m->done(st, Change{});
+            return;
+          }
+          m->parents.push_back(parent.ino);
+          WalkParents(m);
+        },
+        m->op);
     return;
   }
-  WalkToParent(
-      parts, 0, kRootDir,
-      [this, parts, done = std::move(done), op](Status st, DirId parent) {
-        if (st != Status::kOk) {
-          done(st);
-          return;
-        }
-        auto result = std::make_shared<Status>(Status::kNotFound);
-        Visit(
-            parent, MetaShard::OpClass::kMutation,
-            config_.mutate_cost_ns,
-            [this, parent, leaf = parts->back(), result]() {
-              Directory* p = FindDir(parent);
-              if (p == nullptr) return;
-              if (p->entries.Find(leaf) != nullptr) {
-                *result = Status::kExists;
-                return;
-              }
-              const Ino ino = AllocIno();
-              p->entries.Insert(leaf, Dentry{ino, true});
-              shards_[ShardOf(ino)]->Create(ino, parent);
-              ++stats_.mutations;
-              TouchDirectory(*p);
-              *result = Status::kOk;
-            },
-            [done, result]() { done(*result); }, op);
+  // Validate + apply every edit atomically at the first parent's shard; a
+  // rename's destination shard is charged its own mutation service time to
+  // keep both queues honest.
+  const ShardId home = ShardOf(m->parents[0]);
+  for (std::size_t i = 1; i < m->parents.size(); ++i) {
+    if (ShardOf(m->parents[i]) != home) {
+      shards_[ShardOf(m->parents[i])]->Execute(
+          MetaShard::OpClass::kMutation, config_.mutate_cost_ns, []() {});
+    }
+  }
+  auto result =
+      std::make_shared<std::pair<Status, Change>>(Status::kNotFound, Change{});
+  Visit(
+      m->parents[0], MetaShard::OpClass::kMutation, config_.mutate_cost_ns,
+      [this, m, result]() {
+        result->first = m->rule(m->parents, m->leaves, &result->second);
+        if (result->first == Status::kOk) Publish(result->second);
       },
-      op);
+      [m, result]() { m->done(result->first, result->second); }, m->op);
+}
+
+void MetaService::Mkdir(const std::string& path, StatusCallback cb,
+                        obs::TraceContext ctx) {
+  Mutate("meta.mkdir", {path}, AtParent(&Namespace::Mkdir),
+         [cb = std::move(cb)](Status st, const Change&) { cb(st); }, ctx);
 }
 
 void MetaService::Create(const std::string& path, CreateCallback cb,
                          obs::TraceContext ctx) {
-  bool root = false;
-  obs::TraceContext op = StartOp(ctx, "meta.create", &root);
-  auto parts = std::make_shared<std::vector<std::string>>(SplitPath(path));
-  auto done = [this, cb = std::move(cb), op, root](Status st, Ino ino) {
-    FinishOp(op, root, st == Status::kOk);
-    cb(st, ino);
-  };
-  if (parts->empty()) {
-    engine_.Schedule(0, [done = std::move(done)]() {
-      done(Status::kInvalidArgument, 0);
-    });
-    return;
-  }
-  WalkToParent(
-      parts, 0, kRootDir,
-      [this, parts, done = std::move(done), op](Status st, DirId parent) {
-        if (st != Status::kOk) {
-          done(st, 0);
-          return;
-        }
-        auto result = std::make_shared<std::pair<Status, Ino>>(
-            Status::kNotFound, 0);
-        Visit(
-            parent, MetaShard::OpClass::kMutation,
-            config_.mutate_cost_ns,
-            [this, parent, leaf = parts->back(), result]() {
-              Directory* p = FindDir(parent);
-              if (p == nullptr) return;
-              if (p->entries.Find(leaf) != nullptr) {
-                result->first = Status::kExists;
-                return;
-              }
-              const Ino ino = AllocIno();
-              p->entries.Insert(leaf, Dentry{ino, false});
-              ++stats_.mutations;
-              TouchDirectory(*p);
-              *result = {Status::kOk, ino};
-            },
-            [done, result]() { done(result->first, result->second); }, op);
-      },
-      op);
+  Mutate("meta.create", {path}, AtParent(&Namespace::Create),
+         [cb = std::move(cb)](Status st, const Change& change) {
+           cb(st, st == Status::kOk ? change.ino : 0);
+         },
+         ctx);
 }
 
 void MetaService::Unlink(const std::string& path, StatusCallback cb,
                          obs::TraceContext ctx) {
-  bool root = false;
-  obs::TraceContext op = StartOp(ctx, "meta.unlink", &root);
-  auto parts = std::make_shared<std::vector<std::string>>(SplitPath(path));
-  auto done = [this, cb = std::move(cb), op, root](Status st) {
-    FinishOp(op, root, st == Status::kOk);
-    cb(st);
-  };
-  if (parts->empty()) {
-    engine_.Schedule(
-        0, [done = std::move(done)]() { done(Status::kInvalidArgument); });
-    return;
-  }
-  WalkToParent(
-      parts, 0, kRootDir,
-      [this, parts, done = std::move(done), op](Status st, DirId parent) {
-        if (st != Status::kOk) {
-          done(st);
-          return;
-        }
-        auto result = std::make_shared<Status>(Status::kNotFound);
-        Visit(
-            parent, MetaShard::OpClass::kMutation,
-            config_.mutate_cost_ns,
-            [this, parent, leaf = parts->back(), result]() {
-              Directory* p = FindDir(parent);
-              if (p == nullptr) return;
-              const Dentry* e = p->entries.Find(leaf);
-              if (e == nullptr) return;
-              if (e->is_dir) {
-                *result = Status::kIsDirectory;
-                return;
-              }
-              p->entries.Erase(leaf);
-              ++stats_.mutations;
-              TouchDirectory(*p);
-              *result = Status::kOk;
-            },
-            [done, result]() { done(*result); }, op);
-      },
-      op);
+  Mutate("meta.unlink", {path}, AtParent(&Namespace::Unlink),
+         [cb = std::move(cb)](Status st, const Change&) { cb(st); }, ctx);
 }
 
 void MetaService::Rmdir(const std::string& path, StatusCallback cb,
                         obs::TraceContext ctx) {
-  bool root = false;
-  obs::TraceContext op = StartOp(ctx, "meta.rmdir", &root);
-  auto parts = std::make_shared<std::vector<std::string>>(SplitPath(path));
-  auto done = [this, cb = std::move(cb), op, root](Status st) {
-    FinishOp(op, root, st == Status::kOk);
-    cb(st);
-  };
-  if (parts->empty()) {
-    engine_.Schedule(
-        0, [done = std::move(done)]() { done(Status::kInvalidArgument); });
-    return;
-  }
-  WalkToParent(
-      parts, 0, kRootDir,
-      [this, parts, done = std::move(done), op](Status st, DirId parent) {
-        if (st != Status::kOk) {
-          done(st);
-          return;
-        }
-        auto result = std::make_shared<Status>(Status::kNotFound);
-        Visit(
-            parent, MetaShard::OpClass::kMutation,
-            config_.mutate_cost_ns,
-            [this, parent, leaf = parts->back(), result]() {
-              Directory* p = FindDir(parent);
-              if (p == nullptr) return;
-              const Dentry* e = p->entries.Find(leaf);
-              if (e == nullptr) return;
-              if (!e->is_dir) {
-                *result = Status::kNotDirectory;
-                return;
-              }
-              const DirId victim = e->ino;
-              Directory* v = FindDir(victim);
-              if (v != nullptr && !v->entries.empty()) {
-                *result = Status::kNotEmpty;
-                return;
-              }
-              p->entries.Erase(leaf);
-              shards_[ShardOf(victim)]->Erase(victim);
-              shard_overrides_.erase(victim);
-              ++stats_.mutations;
-              TouchDirectory(*p);
-              InvalidateGone(victim);
-              *result = Status::kOk;
-            },
-            [done, result]() { done(*result); }, op);
-      },
-      op);
+  Mutate("meta.rmdir", {path}, AtParent(&Namespace::Rmdir),
+         [cb = std::move(cb)](Status st, const Change&) { cb(st); }, ctx);
 }
 
 void MetaService::Rename(const std::string& from, const std::string& to,
                          StatusCallback cb, obs::TraceContext ctx) {
-  bool root = false;
-  obs::TraceContext op = StartOp(ctx, "meta.rename", &root);
-  auto from_parts = std::make_shared<std::vector<std::string>>(SplitPath(from));
-  auto to_parts = std::make_shared<std::vector<std::string>>(SplitPath(to));
-  auto done = [this, cb = std::move(cb), op, root](Status st) {
-    FinishOp(op, root, st == Status::kOk);
-    cb(st);
-  };
-  if (from_parts->empty() || to_parts->empty()) {
-    engine_.Schedule(
-        0, [done = std::move(done)]() { done(Status::kInvalidArgument); });
-    return;
-  }
-  WalkToParent(
-      from_parts, 0, kRootDir,
-      [this, from_parts, to_parts, done = std::move(done), op](
-          Status st, DirId from_parent) {
-        if (st != Status::kOk) {
-          done(st);
-          return;
-        }
-        WalkToParent(
-            to_parts, 0, kRootDir,
-            [this, from_parts, to_parts, from_parent, done, op](
-                Status st2, DirId to_parent) {
-              if (st2 != Status::kOk) {
-                done(st2);
-                return;
-              }
-              // Validate + apply both edits atomically at the source
-              // parent's shard; the destination shard is charged its own
-              // mutation service time to keep both queues honest.
-              if (ShardOf(to_parent) != ShardOf(from_parent)) {
-                shards_[ShardOf(to_parent)]->Execute(
-                    MetaShard::OpClass::kMutation, config_.mutate_cost_ns,
-                    []() {});
-              }
-              auto result = std::make_shared<Status>(Status::kNotFound);
-              Visit(
-                  from_parent, MetaShard::OpClass::kMutation,
-                  config_.mutate_cost_ns,
-                  [this, from_parent, to_parent,
-                   from_leaf = from_parts->back(),
-                   to_leaf = to_parts->back(), result]() {
-                    Directory* fp = FindDir(from_parent);
-                    Directory* tp = FindDir(to_parent);
-                    if (fp == nullptr || tp == nullptr) return;
-                    const Dentry* e = fp->entries.Find(from_leaf);
-                    if (e == nullptr) return;
-                    if (from_parent == to_parent && from_leaf == to_leaf) {
-                      *result = Status::kOk;  // no-op self rename
-                      return;
-                    }
-                    if (tp->entries.Find(to_leaf) != nullptr) {
-                      *result = Status::kExists;
-                      return;
-                    }
-                    const Dentry moved = *e;
-                    fp->entries.Erase(from_leaf);
-                    tp->entries.Insert(to_leaf, moved);
-                    if (moved.is_dir) {
-                      if (Directory* md = FindDir(moved.ino)) {
-                        md->parent = to_parent;
-                      }
-                    }
-                    ++stats_.mutations;
-                    TouchDirectory(*fp);
-                    if (tp != fp) TouchDirectory(*tp);
-                    *result = Status::kOk;
-                  },
-                  [done, result]() { done(*result); }, op);
-            },
-            op);
+  Mutate(
+      "meta.rename", {from, to},
+      [this](const std::vector<DirId>& parents,
+             const std::vector<std::string>& leaves, Change* change) {
+        return ns_.Rename(parents[0], leaves[0], parents[1], leaves[1],
+                          change);
       },
-      op);
+      [cb = std::move(cb)](Status st, const Change&) { cb(st); }, ctx);
 }
 
 // --- Ordered listing ----------------------------------------------------------
@@ -611,14 +417,15 @@ void MetaService::RangeScan(const std::string& path, const std::string& from,
   bool root = false;
   obs::TraceContext op = StartOp(ctx, "meta.scan", &root);
   ++stats_.scans;
-  auto parts = std::make_shared<std::vector<std::string>>(SplitPath(path));
+  auto parts = std::make_shared<std::vector<std::string>>(
+      Namespace::SplitPath(path));
   auto done = [this, cb = std::move(cb), op, root](
                   Status st, std::vector<std::pair<std::string, Dentry>> rows) {
     FinishOp(op, root, st == Status::kOk);
     cb(st, std::move(rows));
   };
   auto scan_dir = [this, from, limit, done, op](DirId dir) {
-    const Directory* d = FindDir(dir);
+    const Directory* d = ns_.Find(dir);
     const std::size_t approx = d == nullptr ? 0 : d->entries.size();
     const std::size_t billed =
         limit == 0 ? approx : std::min(limit, approx);
@@ -630,7 +437,7 @@ void MetaService::RangeScan(const std::string& path, const std::string& from,
         config_.scan_cost_ns +
             config_.scan_entry_cost_ns * static_cast<sim::Tick>(billed),
         [this, dir, from, limit, result]() {
-          Directory* d2 = FindDir(dir);
+          const Directory* d2 = ns_.Find(dir);
           if (d2 == nullptr) return;
           result->first = Status::kOk;
           result->second = d2->entries.Scan(from, limit);
@@ -642,63 +449,32 @@ void MetaService::RangeScan(const std::string& path, const std::string& from,
     scan_dir(kRootDir);
     return;
   }
-  ResolveStep(parts, 0, kRootDir,
-              [scan_dir = std::move(scan_dir), done](Status st, Dentry d) {
-                if (st != Status::kOk) {
-                  done(st, {});
-                  return;
-                }
-                if (!d.is_dir) {
-                  done(Status::kNotDirectory, {});
-                  return;
-                }
-                scan_dir(d.ino);
-              },
-              op);
+  Walk(parts, 0, parts->size(), kRootDir,
+       [scan_dir = std::move(scan_dir), done](Status st, Dentry d) {
+         if (st != Status::kOk) {
+           done(st, {});
+           return;
+         }
+         if (!d.is_dir) {
+           done(Status::kNotDirectory, {});
+           return;
+         }
+         scan_dir(d.ino);
+       },
+       op);
 }
 
 // --- Bootstrap ----------------------------------------------------------------
 
 Status MetaService::BootstrapMkdir(const std::string& path) {
-  const std::vector<std::string> parts = SplitPath(path);
-  if (parts.empty()) return Status::kInvalidArgument;
-  DirId dir = kRootDir;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    const Directory* d = FindDir(dir);
-    if (d == nullptr) return Status::kNotFound;
-    const Dentry* e = d->entries.Find(parts[i]);
-    if (e == nullptr) return Status::kNotFound;
-    if (!e->is_dir) return Status::kNotDirectory;
-    dir = e->ino;
-  }
-  Directory* p = FindDir(dir);
-  if (p == nullptr) return Status::kNotFound;
-  if (p->entries.Find(parts.back()) != nullptr) return Status::kExists;
-  const Ino ino = AllocIno();
-  p->entries.Insert(parts.back(), Dentry{ino, true});
-  shards_[ShardOf(ino)]->Create(ino, dir);
-  return Status::kOk;
+  return ns_.ApplyAt(path, &Namespace::Mkdir, nullptr);
 }
 
 Status MetaService::BootstrapCreate(const std::string& path, Ino* out_ino) {
-  const std::vector<std::string> parts = SplitPath(path);
-  if (parts.empty()) return Status::kInvalidArgument;
-  DirId dir = kRootDir;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    const Directory* d = FindDir(dir);
-    if (d == nullptr) return Status::kNotFound;
-    const Dentry* e = d->entries.Find(parts[i]);
-    if (e == nullptr) return Status::kNotFound;
-    if (!e->is_dir) return Status::kNotDirectory;
-    dir = e->ino;
-  }
-  Directory* p = FindDir(dir);
-  if (p == nullptr) return Status::kNotFound;
-  if (p->entries.Find(parts.back()) != nullptr) return Status::kExists;
-  const Ino ino = AllocIno();
-  p->entries.Insert(parts.back(), Dentry{ino, false});
-  if (out_ino != nullptr) *out_ino = ino;
-  return Status::kOk;
+  Change change;
+  const Status st = ns_.ApplyAt(path, &Namespace::Create, &change);
+  if (st == Status::kOk && out_ino != nullptr) *out_ino = change.ino;
+  return st;
 }
 
 // --- Wiring -------------------------------------------------------------------
@@ -750,7 +526,7 @@ void MetaService::AttachObs(obs::Hub* hub) {
         labels);
     m.AddCallback(
         "nlss_meta_shard_dirs", "Directories currently homed on this shard",
-        [this, s] { return static_cast<double>(shards_[s]->dir_count()); },
+        [this, s] { return static_cast<double>(DirCount(s)); },
         labels);
   }
   m.AddCallback("nlss_meta_cache_resolves_total",

@@ -1,14 +1,16 @@
 // Sharded metadata service: the namespace as a scale-out service instead
 // of a single controller-resident table.
 //
-// Directories are partitioned across shards at directory granularity — a
-// directory's dentry index and version stamp live entirely on one shard,
-// chosen by a seeded hash of its DirId with an explicit override map on
-// top (the controller can rebalance by moving directories, and remaps
-// shards off failed blades).  Every metadata op is DES-timed: a hop to the
-// owning shard, FIFO service on that shard's queue, and a hop back, so
-// shard count is a real throughput axis (one shard == the single-service
-// baseline E18 compares against).
+// Directories are partitioned across shards at directory granularity —
+// every op on a directory's dentry index and version stamp is served by one
+// shard, chosen by a seeded hash of its DirId with an explicit override map
+// on top (the controller can rebalance by moving directories, and remaps
+// shards off failed blades).  The records themselves and the rules that
+// mutate them are the meta::Namespace core fs::FileSystem also applies;
+// this service adds the routing and the timing.  Every metadata op is
+// DES-timed: a hop to the owning shard, FIFO service on that shard's
+// queue, and a hop back, so shard count is a real throughput axis (one
+// shard == the single-service baseline E18 compares against).
 //
 // Path resolution walks component by component, each step served by the
 // shard owning the parent directory.  Mutations (mkdir/create/unlink/
@@ -32,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "meta/namespace.h"
 #include "meta/shard.h"
 #include "obs/hub.h"
 #include "qos/admission.h"
@@ -41,17 +44,6 @@
 namespace nlss::meta {
 
 class Client;
-
-enum class Status : std::uint8_t {
-  kOk,
-  kNotFound,
-  kExists,
-  kNotDirectory,
-  kIsDirectory,
-  kNotEmpty,
-  kInvalidArgument,
-};
-const char* StatusName(Status s);
 
 struct ServiceConfig {
   std::uint32_t shards = 4;
@@ -147,7 +139,7 @@ class MetaService {
   ShardId ShardOf(DirId dir) const;
   /// Blade a shard is placed on (skips blades marked down).
   std::uint32_t BladeOf(ShardId shard) const;
-  /// Rebalance: move one directory's record + routing to another shard.
+  /// Rebalance: route one directory to another shard.
   Status MoveDirectory(DirId dir, ShardId to);
   /// Controller notifications: remap shards off a failed blade / rebalance
   /// back when it returns.  Bumps the map epoch.
@@ -175,6 +167,8 @@ class MetaService {
     return static_cast<std::uint32_t>(shards_.size());
   }
   const MetaShard& shard(ShardId s) const { return *shards_[s]; }
+  /// Directories the shard map currently routes to `s`.
+  std::size_t DirCount(ShardId s) const;
   const ServiceStats& stats() const { return stats_; }
   const ServiceConfig& config() const { return config_; }
   std::size_t client_count() const { return clients_.size(); }
@@ -183,14 +177,25 @@ class MetaService {
   std::uint64_t SumClientStat(
       const std::function<std::uint64_t(const Client&)>& fn) const;
 
-  static std::vector<std::string> SplitPath(const std::string& path);
-
  private:
   friend class Client;
 
-  /// Find the directory record wherever its shard map entry points.
-  Directory* FindDir(DirId dir);
-  const Directory* FindDir(DirId dir) const;
+  /// A rule applied at the walked parents and leaves of a mutation's
+  /// paths, in path order.
+  using MutationRule = std::function<Status(
+      const std::vector<DirId>& parents,
+      const std::vector<std::string>& leaves, Change* change)>;
+  using MutationCallback = std::function<void(Status, const Change&)>;
+  struct Mutation;
+
+  /// The one DES mutation path (mkdir/create/unlink/rmdir/rename): walk to
+  /// each path's parent in order, then apply `rule` in one mutation visit
+  /// to the first parent's shard and publish the change.
+  void Mutate(const char* op_name, std::vector<std::string> paths,
+              MutationRule rule, MutationCallback cb, obs::TraceContext ctx);
+  void WalkParents(std::shared_ptr<Mutation> m);
+  /// A single-path rule, applied at the walked parent.
+  MutationRule AtParent(Namespace::Rule rule);
 
   /// Charge one shard visit against `dir`'s shard: hop out, queue +
   /// service on the shard (through QoS admission when attached), run
@@ -202,19 +207,18 @@ class MetaService {
              std::function<void()> apply, std::function<void()> reply,
              obs::TraceContext span);
 
-  /// Walk all but the last component; cb(status, parent_dir).
-  void WalkToParent(std::shared_ptr<std::vector<std::string>> parts,
-                    std::size_t next, DirId dir,
-                    std::function<void(Status, DirId)> cb,
-                    obs::TraceContext ctx);
+  /// The DES path walk: components [i, end) of `parts` from `dir`, one
+  /// LookupStep each; every component but the last must be a directory.
+  /// Delivers the last component's dentry; an empty range delivers `dir`
+  /// itself at once.
+  void Walk(std::shared_ptr<std::vector<std::string>> parts, std::size_t i,
+            std::size_t end, DirId dir, ResolveCallback done,
+            obs::TraceContext ctx);
 
-  /// Walk component `i` onward from `dir`, delivering the final dentry.
-  void ResolveStep(std::shared_ptr<std::vector<std::string>> parts,
-                   std::size_t i, DirId dir, ResolveCallback done,
-                   obs::TraceContext ctx);
-
+  /// Count an applied change and push its invalidations to the clients.
+  void Publish(const Change& change);
   /// Bump `dir`'s version and push the invalidation to every client.
-  void TouchDirectory(Directory& dir);
+  void TouchDirectory(DirId dir);
   /// Push a "directory gone" invalidation (version 0) to every client.
   void InvalidateGone(DirId dir);
 
@@ -223,15 +227,13 @@ class MetaService {
                             bool* root);
   void FinishOp(obs::TraceContext op, bool root, bool ok);
 
-  Ino AllocIno() { return next_ino_++; }
-
   sim::Engine& engine_;
   ServiceConfig config_;
+  Namespace ns_;
   std::vector<std::unique_ptr<MetaShard>> shards_;
   std::map<DirId, ShardId> shard_overrides_;  // rebalance moves
   std::vector<bool> blade_up_;
   std::uint64_t map_epoch_ = 1;
-  Ino next_ino_ = kRootDir + 1;
   std::vector<Client*> clients_;  // registration order: deterministic
   ServiceStats stats_;
   qos::Admission admission_{engine_};

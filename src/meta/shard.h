@@ -1,34 +1,20 @@
-// One shard of the sharded namespace service: owns the directories the
-// shard map assigns to it and serializes their metadata operations through
-// a DES service queue (one op in service at a time, FIFO), which is what
-// makes shard count a real throughput axis — a single shard is the
+// One shard of the sharded namespace service: serializes the metadata
+// operations on the directories the shard map routes to it through a DES
+// service queue (one op in service at a time, FIFO), which is what makes
+// shard count a real throughput axis — a single shard is the
 // single-metadata-server baseline, sixteen shards are sixteen independent
-// queues.
+// queues.  The directory records themselves live in the one meta::Namespace
+// table; a shard is routing plus time.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 
-#include "meta/btree.h"
 #include "sim/engine.h"
 
 namespace nlss::meta {
 
-using DirId = std::uint64_t;
 using ShardId = std::uint32_t;
-inline constexpr DirId kRootDir = 1;
-
-/// A directory: ordered dentry index + a version stamp bumped on every
-/// entry mutation.  The version is the coherence token host dentry caches
-/// validate against — a cached entry is valid iff its recorded parent
-/// version still matches.
-struct Directory {
-  DirId id = 0;
-  DirId parent = 0;
-  std::uint64_t version = 1;
-  DentryIndex entries;
-};
 
 class MetaShard {
  public:
@@ -41,34 +27,6 @@ class MetaShard {
   };
 
   MetaShard(sim::Engine& engine, ShardId id) : engine_(engine), id_(id) {}
-
-  // --- Directory table -------------------------------------------------------
-  Directory* Find(DirId id) {
-    const auto it = dirs_.find(id);
-    return it == dirs_.end() ? nullptr : &it->second;
-  }
-  const Directory* Find(DirId id) const {
-    const auto it = dirs_.find(id);
-    return it == dirs_.end() ? nullptr : &it->second;
-  }
-  Directory& Create(DirId id, DirId parent) {
-    Directory& d = dirs_[id];
-    d.id = id;
-    d.parent = parent;
-    return d;
-  }
-  void Erase(DirId id) { dirs_.erase(id); }
-  std::size_t dir_count() const { return dirs_.size(); }
-
-  /// Migrate a directory record out of this shard (controller-driven
-  /// rebalance); returns false when the shard does not own it.
-  bool MoveOut(DirId id, MetaShard& to) {
-    const auto it = dirs_.find(id);
-    if (it == dirs_.end()) return false;
-    to.dirs_[id] = std::move(it->second);
-    dirs_.erase(it);
-    return true;
-  }
 
   // --- DES service queue -----------------------------------------------------
   enum class OpClass : std::uint8_t { kLookup, kMutation, kScan };
@@ -98,7 +56,6 @@ class MetaShard {
  private:
   sim::Engine& engine_;
   ShardId id_;
-  std::map<DirId, Directory> dirs_;  // ordered: deterministic iteration
   sim::Tick busy_until_ = 0;
   Stats stats_;
 };

@@ -298,7 +298,7 @@ proto::HttpResponse AdminHttp::MetaReport() const {
     w.BeginObject();
     w.Field("id", static_cast<std::uint64_t>(sh));
     w.Field("blade", static_cast<std::uint64_t>(meta_->BladeOf(sh)));
-    w.Field("dirs", static_cast<std::uint64_t>(shard.dir_count()));
+    w.Field("dirs", static_cast<std::uint64_t>(meta_->DirCount(sh)));
     w.Field("lookups", shard.stats().lookups);
     w.Field("mutations", shard.stats().mutations);
     w.Field("scans", shard.stats().scans);

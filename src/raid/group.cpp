@@ -6,25 +6,11 @@
 #include <memory>
 
 #include "raid/gf256.h"
+#include "util/join.h"
 
 namespace nlss::raid {
-namespace {
 
-/// Shared completion join for fan-out operations.
-struct Join {
-  explicit Join(int n, std::function<void(bool)> done)
-      : remaining(n), on_done(std::move(done)) {}
-  int remaining;
-  bool ok = true;
-  std::function<void(bool)> on_done;
-
-  void Arrive(bool success) {
-    ok = ok && success;
-    if (--remaining == 0) on_done(ok);
-  }
-};
-
-}  // namespace
+using util::Join;
 
 RaidGroup::RaidGroup(sim::Engine& engine, std::vector<disk::Disk*> disks,
                      const Config& config)

@@ -7,8 +7,11 @@
 
 #include "check/invariant.h"
 #include "check/race.h"
+#include "util/join.h"
 
 namespace nlss::tier {
+
+using util::Join;
 
 namespace {
 
@@ -17,19 +20,6 @@ namespace {
 inline std::uint64_t RaceKey(const cache::PageKey& key) {
   return check::AccessKey(0x71E4ull, cache::PageKeyHash{}(key));
 }
-
-/// Join: fires `done(all_ok)` once `expect` arrivals land.
-struct Join {
-  int remaining;
-  bool ok = true;
-  std::function<void(bool)> done;
-  Join(int expect, std::function<void(bool)> d)
-      : remaining(expect), done(std::move(d)) {}
-  void Arrive(bool r) {
-    ok = ok && r;
-    if (--remaining == 0 && done) done(ok);
-  }
-};
 
 }  // namespace
 

@@ -5,22 +5,11 @@
 #include <cstring>
 #include <memory>
 
+#include "util/join.h"
+
 namespace nlss::virt {
-namespace {
 
-struct Join {
-  Join(int n, std::function<void(bool)> done)
-      : remaining(n), on_done(std::move(done)) {}
-  int remaining;
-  bool ok = true;
-  std::function<void(bool)> on_done;
-  void Arrive(bool success) {
-    ok = ok && success;
-    if (--remaining == 0) on_done(ok);
-  }
-};
-
-}  // namespace
+using util::Join;
 
 DemandMappedVolume::DemandMappedVolume(sim::Engine& engine, StoragePool& pool,
                                        std::uint64_t virtual_blocks,

@@ -169,54 +169,6 @@ TEST_F(FsTest, PerFilePolicies) {
   EXPECT_EQ(fs_->Stat("/scratch.tmp")->policy.cache_replication, 2u);
 }
 
-TEST_F(FsTest, MetadataSerializationRoundtrip) {
-  ASSERT_EQ(fs_->Mkdir("/d"), Status::kOk);
-  FilePolicy p;
-  p.cache_replication = 3;
-  p.geo_replicate = true;
-  p.geo_sites = 3;
-  p.raid_override = raid::RaidLevel::kRaid6;
-  ASSERT_EQ(fs_->Create("/d/f", p), Status::kOk);
-  const auto data = Pattern(100000, 8);
-  ASSERT_EQ(Write("/d/f", 0, data), Status::kOk);
-
-  const util::Bytes blob = fs_->SerializeMetadata();
-  // Wipe the namespace by loading into a fresh FS bound to the same system
-  // volume contents (same volume id ordering).
-  ASSERT_EQ(fs_->LoadMetadata(blob), Status::kOk);
-  ASSERT_TRUE(fs_->Exists("/d/f"));
-  const Inode* inode = fs_->Stat("/d/f");
-  EXPECT_EQ(inode->size, data.size());
-  EXPECT_EQ(inode->policy.cache_replication, 3u);
-  EXPECT_TRUE(inode->policy.geo_replicate);
-  ASSERT_TRUE(inode->policy.raid_override.has_value());
-  EXPECT_EQ(*inode->policy.raid_override, raid::RaidLevel::kRaid6);
-  auto [st, got] = Read("/d/f", 0, data.size());
-  ASSERT_EQ(st, Status::kOk);
-  EXPECT_EQ(got, data);
-}
-
-TEST_F(FsTest, LoadRejectsGarbage) {
-  const util::Bytes junk = Pattern(64, 1);
-  EXPECT_EQ(fs_->LoadMetadata(junk), Status::kInvalidArgument);
-  // FS still usable.
-  EXPECT_EQ(fs_->Create("/ok"), Status::kOk);
-}
-
-TEST_F(FsTest, ForEachFileWalksTree) {
-  ASSERT_EQ(fs_->Mkdir("/x"), Status::kOk);
-  ASSERT_EQ(fs_->Mkdir("/x/y"), Status::kOk);
-  ASSERT_EQ(fs_->Create("/x/a"), Status::kOk);
-  ASSERT_EQ(fs_->Create("/x/y/b"), Status::kOk);
-  ASSERT_EQ(fs_->Create("/c"), Status::kOk);
-  std::vector<std::string> paths;
-  fs_->ForEachFile([&](const std::string& path, const Inode&) {
-    paths.push_back(path);
-  });
-  std::sort(paths.begin(), paths.end());
-  EXPECT_EQ(paths, (std::vector<std::string>{"/c", "/x/a", "/x/y/b"}));
-}
-
 TEST_F(FsTest, QuotaBlocksGrowthButAllowsReuse) {
   FileSystem::Config config;
   config.quota_bytes = 4 * util::MiB;  // 4 chunks

@@ -164,6 +164,114 @@ TEST(ShardMap, MoveDirectoryRebalancesRoutingAndRecord) {
   EXPECT_GT(service.shard(target).ops(), 0u);
 }
 
+/// Per-shard directory counts as both reports show them: the admin
+/// `/meta` "dirs" fields and the `nlss_meta_shard_dirs` gauges.
+struct ShardDirCounts {
+  std::vector<std::uint64_t> admin;
+  std::vector<std::uint64_t> gauge;
+};
+
+ShardDirCounts ReadShardDirCounts(mgmt::AdminHttp& admin,
+                                  const std::string& token,
+                                  const obs::Hub& hub, std::uint32_t shards) {
+  ShardDirCounts out;
+  const auto r = admin.Handle("GET /meta HTTP/1.0\r\nAuthorization: " +
+                              token + "\r\n\r\n");
+  const std::string body(r.body.begin(), r.body.end());
+  for (std::size_t at = body.find("\"dirs\":"); at != std::string::npos;
+       at = body.find("\"dirs\":", at + 1)) {
+    out.admin.push_back(std::stoull(body.substr(at + 7)));
+  }
+  const std::string text = hub.metrics().PrometheusText();
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    const std::string key =
+        "nlss_meta_shard_dirs{shard=\"" + std::to_string(s) + "\"} ";
+    const std::size_t at = text.find(key);
+    if (at != std::string::npos) {
+      out.gauge.push_back(std::stoull(text.substr(at + key.size())));
+    }
+  }
+  return out;
+}
+
+TEST(ShardMap, PerShardDirCountsFollowTheNamespace) {
+  sim::Engine engine;
+  net::Fabric fabric(engine);
+  controller::SystemConfig sc;
+  sc.disk_profile.capacity_blocks = 16 * 1024;
+  controller::StorageSystem system(engine, fabric, sc);
+  crypto::KeyStore keys(std::string_view("m"));
+  security::AuthService auth(engine, keys);
+  security::AuditLog audit(engine);
+  mgmt::AlertManager alerts(engine);
+  auth.AddUser("root", "pw", {"admin"});
+  mgmt::AdminHttp admin(system, auth, alerts, audit);
+  const auto token = *auth.Login("root", "pw");
+  obs::Hub hub(engine);
+
+  ServiceConfig cfg;
+  cfg.shards = 4;
+  MetaService service(engine, cfg);
+  service.AttachObs(&hub);
+  admin.AttachMeta(&service);
+
+  // Both reports agree shard by shard; returns the counts.
+  const auto counts = [&]() {
+    const ShardDirCounts c =
+        ReadShardDirCounts(admin, token, hub, cfg.shards);
+    EXPECT_EQ(c.admin.size(), cfg.shards);
+    EXPECT_EQ(c.admin, c.gauge);
+    return c.admin;
+  };
+  const auto total = [&]() {
+    std::uint64_t sum = 0;
+    for (const std::uint64_t n : counts()) sum += n;
+    return sum;
+  };
+
+  EXPECT_EQ(total(), 1u);  // the root alone
+  for (int d = 0; d < 12; ++d) {
+    ASSERT_EQ(service.BootstrapMkdir("/d" + std::to_string(d)), Status::kOk);
+  }
+  ASSERT_EQ(service.BootstrapCreate("/d0/file"), Status::kOk);
+  EXPECT_EQ(total(), 13u);  // files are not directories
+
+  Status st = Status::kNotFound;
+  service.Mkdir("/d0/sub", [&](Status s) { st = s; });
+  engine.Run();
+  ASSERT_EQ(st, Status::kOk);
+  EXPECT_EQ(total(), 14u);
+  service.Rmdir("/d1", [&](Status s) { st = s; });
+  engine.Run();
+  ASSERT_EQ(st, Status::kOk);
+  EXPECT_EQ(total(), 13u);
+
+  // A moved directory counts on its target shard, not its old one.
+  DirId d2 = 0;
+  service.Resolve("/d2", [&](Status s, Dentry d) {
+    ASSERT_EQ(s, Status::kOk);
+    d2 = d.ino;
+  });
+  engine.Run();
+  const ShardId source = service.ShardOf(d2);
+  const ShardId target = (source + 1) % cfg.shards;
+  const std::vector<std::uint64_t> before = counts();
+  ASSERT_EQ(service.MoveDirectory(d2, target), Status::kOk);
+  std::vector<std::uint64_t> after = counts();
+  ASSERT_EQ(after.size(), cfg.shards);
+  EXPECT_EQ(after[source], before[source] - 1);
+  EXPECT_EQ(after[target], before[target] + 1);
+  EXPECT_EQ(total(), 13u);
+
+  // Removing the moved directory drops it from its target shard.
+  service.Rmdir("/d2", [&](Status s) { st = s; });
+  engine.Run();
+  ASSERT_EQ(st, Status::kOk);
+  after = counts();
+  EXPECT_EQ(after[target], before[target]);
+  EXPECT_EQ(total(), 12u);
+}
+
 TEST(ShardMap, BladeFailureRemapsPlacementNotRouting) {
   sim::Engine engine;
   ServiceConfig cfg;

@@ -317,11 +317,6 @@ TEST_F(QosStackTest, FilePolicyRoutesFsIoToTenant) {
   const auto& stats = qos_->slo().stats(bronze_);
   EXPECT_GE(stats.ops, 2u);
   EXPECT_GT(stats.bytes, 0u);
-  // The policy survives a metadata round trip.
-  fs::FileSystem copy(*system_);
-  ASSERT_EQ(copy.LoadMetadata(fsys.SerializeMetadata()), fs::Status::kOk);
-  ASSERT_NE(copy.Stat("/scan.dat"), nullptr);
-  EXPECT_EQ(copy.Stat("/scan.dat")->policy.qos_tenant, bronze_);
 }
 
 }  // namespace
