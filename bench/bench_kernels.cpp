@@ -1,15 +1,21 @@
 // Real-time microbenchmarks (google-benchmark) of the hot kernels under
 // the simulation: GF(2^8) parity, Reed-Solomon coding, AES, SHA-256,
-// CRC32C, cache frame management, and the DES engine itself.
+// CRC32C, cache frame management, the host dentry cache, and the DES
+// engine itself.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "cache/node.h"
 #include "crypto/aes.h"
 #include "crypto/keystore.h"
 #include "crypto/sha256.h"
+#include "meta/client.h"
+#include "meta/service.h"
 #include "raid/gf256.h"
 #include "sim/engine.h"
 #include "util/bytes.h"
@@ -150,6 +156,57 @@ void BM_CacheNodeChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheNodeChurn);
+
+// One resolve through a host dentry cache (meta::Client), DES delivery
+// included.  cold:0 serves warm full-path hits; cold:1 misses every full
+// path, as a storm's first pass does: each pass over the paths starts a
+// fresh client, so it fetches one root grant, walks two steps for the first
+// file of each directory and one LookupStep for the rest.
+void BM_DentryCacheResolve(benchmark::State& state) {
+  const bool cold = state.range(0) != 0;
+  sim::Engine engine;
+  meta::MetaService service(engine);
+  std::vector<std::string> paths;
+  bool populated = true;
+  for (int d = 0; d < 32; ++d) {
+    const std::string dir = "/d" + std::to_string(d);
+    populated &= service.BootstrapMkdir(dir) == meta::Status::kOk;
+    for (int f = 0; f < 64; ++f) {
+      paths.push_back(dir + "/f" + std::to_string(f));
+      populated &= service.BootstrapCreate(paths.back()) == meta::Status::kOk;
+    }
+  }
+  if (!populated) {
+    state.SkipWithError("namespace bootstrap failed");
+    return;
+  }
+  auto client = std::make_unique<meta::Client>(service, "bm");
+  const auto resolve = [&](const std::string& path) {
+    client->Resolve(path, [](meta::Status st, meta::Dentry d) {
+      benchmark::DoNotOptimize(st);
+      benchmark::DoNotOptimize(d);
+    });
+    engine.Run();
+  };
+  if (!cold) {
+    for (const std::string& p : paths) resolve(p);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == paths.size()) {
+      next = 0;
+      if (cold) {
+        state.PauseTiming();
+        client.reset();
+        client = std::make_unique<meta::Client>(service, "bm");
+        state.ResumeTiming();
+      }
+    }
+    resolve(paths[next++]);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DentryCacheResolve)->ArgName("cold")->Arg(0)->Arg(1);
 
 void BM_EngineScheduleRun(benchmark::State& state) {
   for (auto _ : state) {

@@ -18,6 +18,13 @@ static_assert(static_cast<int>(Status::kOk) ==
               static_cast<int>(Status::kInvalidArgument) ==
                   static_cast<int>(meta::Status::kInvalidArgument));
 
+/// Data ops (Write/Read/Truncate) need a regular file at `inode`.
+Status FileOnly(const Inode* inode) {
+  return inode == nullptr                 ? Status::kNotFound
+         : inode->type != FileType::kFile ? Status::kIsDirectory
+                                          : Status::kOk;
+}
+
 }  // namespace
 
 FileSystem::FileSystem(controller::StorageSystem& system, Config config)
@@ -171,9 +178,7 @@ void FileSystem::Write(const std::string& path, std::uint64_t offset,
                        std::span<const std::uint8_t> data, WriteCallback cb,
                        obs::TraceContext ctx) {
   Inode* inode = Lookup(path);
-  Status st = inode == nullptr                 ? Status::kNotFound
-              : inode->type != FileType::kFile ? Status::kIsDirectory
-                                               : Status::kOk;
+  Status st = FileOnly(inode);
   if (st == Status::kOk) st = EnsureChunks(*inode, offset + data.size());
   if (st != Status::kOk) {
     system_.engine().Schedule(0, [cb = std::move(cb), st] { cb(st); });
@@ -211,9 +216,7 @@ void FileSystem::Read(const std::string& path, std::uint64_t offset,
                       std::uint64_t length, ReadCallback cb,
                       obs::TraceContext ctx) {
   const Inode* inode = Stat(path);
-  const Status st = inode == nullptr                 ? Status::kNotFound
-                    : inode->type != FileType::kFile ? Status::kIsDirectory
-                                                     : Status::kOk;
+  const Status st = FileOnly(inode);
   if (st != Status::kOk || offset >= inode->size || length == 0) {
     system_.engine().Schedule(0, [cb = std::move(cb), st] { cb(st, {}); });
     return;
@@ -247,10 +250,9 @@ void FileSystem::Read(const std::string& path, std::uint64_t offset,
 void FileSystem::Truncate(const std::string& path, std::uint64_t new_size,
                           WriteCallback cb) {
   Inode* inode = Lookup(path);
-  if (inode == nullptr || inode->type != FileType::kFile) {
-    system_.engine().Schedule(0, [cb = std::move(cb)] {
-      cb(Status::kNotFound);
-    });
+  const Status st = FileOnly(inode);
+  if (st != Status::kOk) {
+    system_.engine().Schedule(0, [cb = std::move(cb), st] { cb(st); });
     return;
   }
   if (new_size < inode->size) {

@@ -10,24 +10,21 @@
 //
 // The paper's "extended metadata" is the FilePolicy: per-file (not
 // per-volume) knobs for cache retention, write-back fault tolerance
-// (N-way cache replication), geographic replication mode/extent, and RAID
-// preference.  The data path here bills every I/O to the policy's QoS
-// tenant with its cache priority, and writes with its cache replication;
-// the geo layer (src/geo) applies the geo fields to the files it creates.
-// The RAID preference is recorded but no layer places by it yet.
+// (N-way cache replication) and geographic replication mode/extent.  The
+// data path here bills every I/O to the policy's QoS tenant with its cache
+// priority, and writes with its cache replication; the geo layer (src/geo)
+// applies the geo fields to the files it creates.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "controller/system.h"
 #include "meta/namespace.h"
 #include "qos/tenant.h"
-#include "raid/layout.h"
 #include "util/bytes.h"
 
 namespace nlss::fs {
@@ -56,7 +53,6 @@ struct FilePolicy {
   bool geo_sync = false;                // synchronous vs asynchronous
   std::uint32_t geo_sites = 2;          // copies across sites (incl. home)
   std::uint64_t geo_min_distance_km = 0;
-  std::optional<raid::RaidLevel> raid_override;  // placement preference
   // QoS tenant this file's I/O is billed to (kAutoTenant = resolve from
   // the FS volume's tenant binding).  Lets one namespace serve several
   // labs with per-file service classes.

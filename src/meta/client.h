@@ -19,14 +19,29 @@
 // Net effect: no stale positive entry is ever served, cross-checked by an
 // NLSS_INVARIANT(kMeta, ...) against the authoritative directory versions
 // on every served hit.
+//
+// Storage: every resolve, insert, touch and invalidation is O(1) in the
+// number of cached entries, and no string is compared beyond one hashed
+// lookup per probe.
+//  - Entry table: each entry lives once, in a node-stable hash table keyed
+//    by the normalized path ("/a/b"); everything else holds entry pointers.
+//  - Coherence index: chain directory -> the entries whose chain reads
+//    through it.  Every chain link remembers its slot in that directory's
+//    row, so indexing and unindexing an entry are swap-and-pop.
+//  - Recency list: a doubly linked list threaded through the entries,
+//    newest first; a touch moves an entry to the front and LRU eviction
+//    takes the back, the least recently inserted or touched entry.
+// Hash iteration order never reaches a counter or an event: invalidation
+// drops whole rows (removal order changes no state), eviction follows the
+// recency list, and lookups are by key.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
-#include <set>
 #include <string>
-#include <utility>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "meta/service.h"
@@ -96,35 +111,55 @@ class Client {
   }
 
  private:
+  /// One (directory, version) pair a resolution read through.  `slot` is
+  /// the owning entry's position in by_dir_[dir] while it is cached.
+  struct Link {
+    DirId dir = 0;
+    std::uint64_t version = 0;
+    std::uint32_t slot = 0;
+  };
   struct Entry {
+    const std::string* path = nullptr;  // its key in cache_
     Dentry dentry;
-    /// Every (directory, version) the resolution read through, root-first;
-    /// chain.back().first is the leaf's parent directory.
-    std::vector<std::pair<DirId, std::uint64_t>> chain;
-    std::uint64_t lru = 0;  // last-touch stamp (deterministic)
+    /// Every directory the resolution read through, root-first;
+    /// chain.back().dir is the leaf's parent directory.
+    std::vector<Link> chain;
+    Entry* newer = nullptr;  // recency list neighbours
+    Entry* older = nullptr;
+  };
+  /// One resolve's state, shared by its hit timer and every walk step.
+  struct Walk;
+  /// Transparent string hash: probes take std::string_view prefixes of a
+  /// walk's normalized path without building a key string.  Deliberately
+  /// not noexcept: libstdc++ then stores each node's hash code, so a probe
+  /// compares codes before strings and a rehash never re-hashes a key.
+  struct PathHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
   };
 
   /// Start a service walk: from the deepest cached ancestor when one
   /// exists, from the root otherwise.
-  void BeginWalk(std::shared_ptr<std::vector<std::string>> parts,
-                 MetaService::ResolveCallback cb, obs::TraceContext ctx);
-  /// Walk components [next, end) from `dir`, prefix = cached chain so far.
-  void WalkFrom(std::shared_ptr<std::vector<std::string>> parts,
-                std::size_t next, DirId dir,
-                std::shared_ptr<std::vector<std::pair<DirId, std::uint64_t>>>
-                    chain,
-                MetaService::ResolveCallback cb, obs::TraceContext ctx);
+  void BeginWalk(std::shared_ptr<Walk> w);
+  /// Walk components [next, end) from `dir`; w->chain holds the chain so
+  /// far.
+  void WalkFrom(std::shared_ptr<Walk> w, std::size_t next, DirId dir);
+  /// Record the step that resolved component `next` (read in `dir` at
+  /// `version`), then finish the walk or continue it below `d`.
+  void Learned(std::shared_ptr<Walk> w, std::size_t next, DirId dir,
+               std::uint64_t version, Dentry d);
   /// Serve a root-directory step from the delegation copy (fetching or
   /// joining a grant first when needed).  Returns false when delegation is
   /// off/unavailable and the caller should issue a plain LookupStep.
-  bool TryRootDelegation(
-      std::shared_ptr<std::vector<std::string>> parts, std::size_t next,
-      std::shared_ptr<std::vector<std::pair<DirId, std::uint64_t>>> chain,
-      MetaService::ResolveCallback cb, obs::TraceContext ctx);
+  bool TryRootDelegation(std::shared_ptr<Walk> w, std::size_t next);
   void DropRootGrant();
-  void InsertEntry(const std::string& path, Entry entry);
-  void RemoveEntry(const std::string& path, std::uint64_t* counter);
-  void TouchLru(const std::string& path, Entry& entry);
+  void InsertEntry(std::string_view path, Dentry dentry,
+                   const std::vector<Link>& chain);
+  void RemoveEntry(Entry& entry, std::uint64_t* counter);
+  void Touch(Entry& entry);
+  void Detach(Entry& entry);  // off the recency list
   /// Race-detector key for this client's cached state about `dir`: each
   /// host cache is independent state, so the key is salted per client
   /// (deterministically, from the client's name).
@@ -133,15 +168,17 @@ class Client {
   MetaService& service_;
   std::string name_;
   ClientConfig config_;
-  std::map<std::string, Entry> cache_;             // normalized path -> entry
-  std::map<DirId, std::set<std::string>> by_dir_;  // chain dir -> paths
-  std::map<std::uint64_t, std::string> lru_order_;  // stamp -> path
-  std::uint64_t lru_clock_ = 0;
+  const std::uint64_t race_salt_;  // RaceKey's per-client salt
+  std::unordered_map<std::string, Entry, PathHash, std::equal_to<>> cache_;
+  // Chain directory -> the entries whose chain reads through it.
+  std::unordered_map<DirId, std::vector<Entry*>> by_dir_;
+  Entry* newest_ = nullptr;  // recency list front
+  Entry* oldest_ = nullptr;  // recency list back: the next LRU victim
   // Root delegation state: a full, version-stamped copy of "/".
   bool root_grant_valid_ = false;
   bool root_grant_pending_ = false;
   bool root_grant_broken_ = false;  // fetch failed: stop re-trying forever
-  std::map<std::string, Dentry> root_copy_;
+  MetaService::DirectoryCopy root_copy_;
   std::uint64_t root_version_ = 0;
   std::vector<std::function<void()>> root_grant_waiters_;
   ClientStats stats_;

@@ -202,9 +202,8 @@ void MetaService::DelegateDirectory(DirId dir, DelegateCallback cb,
   const Directory* d = ns_.Find(dir);
   const std::size_t approx = d == nullptr ? 0 : d->entries.size();
   auto result =
-      std::make_shared<std::tuple<Status, std::map<std::string, Dentry>,
-                                  std::uint64_t>>(
-          Status::kNotFound, std::map<std::string, Dentry>{}, 0);
+      std::make_shared<std::tuple<Status, DirectoryCopy, std::uint64_t>>(
+          Status::kNotFound, DirectoryCopy{}, 0);
   Visit(
       dir, MetaShard::OpClass::kScan,
       config_.scan_cost_ns +
@@ -213,6 +212,7 @@ void MetaService::DelegateDirectory(DirId dir, DelegateCallback cb,
         const Directory* d2 = ns_.Find(dir);
         if (d2 == nullptr) return;  // stays kNotFound
         std::get<0>(*result) = Status::kOk;
+        std::get<1>(*result).reserve(d2->entries.size());
         d2->entries.ForEach([&](const std::string& name, const Dentry& de) {
           std::get<1>(*result).emplace(name, de);
         });

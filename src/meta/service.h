@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "meta/namespace.h"
@@ -126,8 +127,9 @@ class MetaService {
   /// `dir` locally — including authoritative negatives — until the
   /// version moves, instead of serializing every cold walk's first step
   /// on the root directory's shard.
-  using DelegateCallback = std::function<void(
-      Status, std::map<std::string, Dentry>, std::uint64_t version)>;
+  using DirectoryCopy = std::unordered_map<std::string, Dentry>;
+  using DelegateCallback =
+      std::function<void(Status, DirectoryCopy, std::uint64_t version)>;
   void DelegateDirectory(DirId dir, DelegateCallback cb,
                          obs::TraceContext ctx = {});
 

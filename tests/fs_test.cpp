@@ -135,6 +135,25 @@ TEST_F(FsTest, TruncateShrinksAndFreesChunks) {
   EXPECT_LT(fs_->AllocatedChunks(), chunks_before);
 }
 
+// Every data op answers a directory with kIsDirectory and a missing path
+// with kNotFound; none of them changes the directory.
+TEST_F(FsTest, DataOpsOnADirectoryAnswerIsDirectory) {
+  ASSERT_EQ(fs_->Mkdir("/d"), Status::kOk);
+  Status truncated = Status::kIoError;
+  fs_->Truncate("/d", 0, [&](Status s) { truncated = s; });
+  engine_.Run();
+  EXPECT_EQ(truncated, Status::kIsDirectory);
+  EXPECT_EQ(Write("/d", 0, Pattern(16, 9)), Status::kIsDirectory);
+  EXPECT_EQ(Read("/d", 0, 16).first, Status::kIsDirectory);
+
+  Status missing = Status::kIoError;
+  fs_->Truncate("/nope", 0, [&](Status s) { missing = s; });
+  engine_.Run();
+  EXPECT_EQ(missing, Status::kNotFound);
+  EXPECT_EQ(fs_->Create("/d/f"), Status::kOk)
+      << "the directory must be intact after the refused ops";
+}
+
 TEST_F(FsTest, UnlinkReleasesPhysicalSpace) {
   ASSERT_EQ(fs_->Create("/tmp1"), Status::kOk);
   ASSERT_EQ(Write("/tmp1", 0, Pattern(8 * util::MiB, 7)), Status::kOk);

@@ -527,6 +527,166 @@ TEST(DentryCache, CapacityZeroBypassesAndLruEvicts) {
   EXPECT_GT(lru.stats().evictions, 0u);
 }
 
+// LRU victim identity: the entry evicted is the least recently inserted
+// or touched one.  Root-level files cache exactly one entry each.
+TEST(DentryCache, LruEvictsTheLeastRecentlyTouchedEntry) {
+  sim::Engine engine;
+  MetaService service(engine);
+  ClientConfig tiny;
+  tiny.capacity = 4;
+  Client client(service, "c0", tiny);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(service.BootstrapCreate("/f" + std::to_string(i)), Status::kOk);
+  }
+  const auto resolve = [&](const std::string& path) {
+    Status st{};
+    client.Resolve(path, [&](Status s, Dentry) { st = s; });
+    engine.Run();
+    EXPECT_EQ(st, Status::kOk) << path;
+  };
+  for (int i = 0; i < 4; ++i) resolve("/f" + std::to_string(i));
+  ASSERT_EQ(client.cached_entries(), 4u);
+  resolve("/f0");  // touch: f1 is now the least recent
+  EXPECT_EQ(client.stats().full_hits, 1u);
+  resolve("/f4");
+  EXPECT_EQ(client.stats().evictions, 1u);
+  EXPECT_EQ(client.cached_entries(), 4u);
+
+  resolve("/f0");
+  EXPECT_EQ(client.stats().full_hits, 2u) << "f0 was touched: it survives";
+  const std::uint64_t misses = client.stats().misses;
+  resolve("/f1");
+  EXPECT_EQ(client.stats().full_hits, 2u) << "f1 was the victim";
+  EXPECT_EQ(client.stats().misses, misses + 1);
+}
+
+// Eviction churn moves entries around inside the coherence index; a later
+// invalidation must still find exactly the entries that are cached.
+TEST(DentryCache, EvictionChurnKeepsInvalidationExact) {
+  sim::Engine engine;
+  MetaService service(engine);
+  ClientConfig three;
+  three.capacity = 3;
+  Client client(service, "c0", three);
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_EQ(service.BootstrapCreate("/f" + std::to_string(i)), Status::kOk);
+  }
+  for (int i = 0; i < 7; ++i) {
+    client.Resolve("/f" + std::to_string(i),
+                   [](Status s, Dentry) { EXPECT_EQ(s, Status::kOk); });
+    engine.Run();
+  }
+  ASSERT_EQ(client.stats().evictions, 4u);
+  ASSERT_EQ(client.cached_entries(), 3u);
+
+  bool made = false;
+  service.Mkdir("/x", [&](Status s) { made = s == Status::kOk; });
+  engine.Run();
+  ASSERT_TRUE(made);
+  EXPECT_EQ(client.stats().dropped_entries, 3u);
+  EXPECT_EQ(client.cached_entries(), 0u);
+}
+
+// Resolves /d/f0, /d/f1 and /e/g0: five entries (/d, /d/f0, /d/f1, /e,
+// /e/g0), every chain through the root.
+void WarmTwoDirectories(MetaService& service, Client& client,
+                        sim::Engine& engine) {
+  ASSERT_EQ(service.BootstrapMkdir("/d"), Status::kOk);
+  ASSERT_EQ(service.BootstrapMkdir("/e"), Status::kOk);
+  for (const char* p : {"/d/f0", "/d/f1", "/e/g0"}) {
+    ASSERT_EQ(service.BootstrapCreate(p), Status::kOk);
+    Status st{};
+    client.Resolve(p, [&](Status s, Dentry) { st = s; });
+    engine.Run();
+    ASSERT_EQ(st, Status::kOk) << p;
+  }
+  ASSERT_EQ(client.cached_entries(), 5u);
+}
+
+TEST(DentryCache, InvalidationDropsExactlyTheDirectorysDependents) {
+  sim::Engine engine;
+  MetaService service(engine);
+  Client client(service, "c0");
+  WarmTwoDirectories(service, client, engine);
+
+  // A create in /d bumps /d only: /d/f0 and /d/f1 read through it; /d
+  // itself (read in the root) and the sibling /e subtree do not.
+  bool created = false;
+  service.Create("/d/f2", [&](Status s, Ino) { created = s == Status::kOk; });
+  engine.Run();
+  ASSERT_TRUE(created);
+  EXPECT_EQ(client.stats().dropped_entries, 2u);
+  EXPECT_EQ(client.cached_entries(), 3u);
+  EXPECT_EQ(client.stats().delegation_drops, 0u);
+
+  const ClientStats before = client.stats();
+  for (const char* p : {"/d", "/e", "/e/g0"}) {
+    client.Resolve(p, [](Status s, Dentry) { EXPECT_EQ(s, Status::kOk); });
+    engine.Run();
+  }
+  EXPECT_EQ(client.stats().full_hits, before.full_hits + 3)
+      << "/d, /e and /e/g0 survive the /d invalidation";
+  client.Resolve("/d/f0", [](Status s, Dentry) { EXPECT_EQ(s, Status::kOk); });
+  engine.Run();
+  EXPECT_EQ(client.stats().partial_hits, before.partial_hits + 1)
+      << "/d/f0 was dropped; its walk starts at the cached /d";
+}
+
+TEST(DentryCache, RootMutationDropsEveryEntryAndTheGrant) {
+  sim::Engine engine;
+  MetaService service(engine);
+  Client client(service, "c0");
+  WarmTwoDirectories(service, client, engine);
+  ASSERT_EQ(client.stats().delegation_grants, 1u);
+
+  bool made = false;
+  service.Mkdir("/x", [&](Status s) { made = s == Status::kOk; });
+  engine.Run();
+  ASSERT_TRUE(made);
+  EXPECT_EQ(client.cached_entries(), 0u);
+  EXPECT_EQ(client.stats().dropped_entries, 5u);
+  EXPECT_EQ(client.stats().delegation_drops, 1u);
+
+  Status st{};
+  client.Resolve("/e/g0", [&](Status s, Dentry) { st = s; });
+  engine.Run();
+  EXPECT_EQ(st, Status::kOk);
+  EXPECT_EQ(client.stats().delegation_grants, 2u)
+      << "the next walk fetches a fresh root copy";
+}
+
+// Two same-tick resolves of one uncached path both walk and both insert
+// every component; the second insert replaces the first, so the cache
+// holds one entry per path.  Capacity 2 is exact: a double count would
+// evict.
+TEST(DentryCache, ReinsertingACachedPathNeitherDoubleCountsNorLeaks) {
+  sim::Engine engine;
+  MetaService service(engine);
+  ClientConfig two;
+  two.capacity = 2;
+  Client client(service, "c0", two);
+  ASSERT_EQ(service.BootstrapMkdir("/d"), Status::kOk);
+  ASSERT_EQ(service.BootstrapCreate("/d/f"), Status::kOk);
+
+  Status s1{}, s2{};
+  client.Resolve("/d/f", [&](Status s, Dentry) { s1 = s; });
+  client.Resolve("/d/f", [&](Status s, Dentry) { s2 = s; });
+  engine.Run();
+  ASSERT_EQ(s1, Status::kOk);
+  ASSERT_EQ(s2, Status::kOk);
+  EXPECT_EQ(client.stats().misses, 2u) << "both resolves walked";
+  EXPECT_EQ(client.cached_entries(), 2u);
+  EXPECT_EQ(client.stats().evictions, 0u);
+
+  // One mutation of /d drops /d/f exactly once.
+  bool created = false;
+  service.Create("/d/g", [&](Status s, Ino) { created = s == Status::kOk; });
+  engine.Run();
+  ASSERT_TRUE(created);
+  EXPECT_EQ(client.stats().dropped_entries, 1u);
+  EXPECT_EQ(client.cached_entries(), 1u);
+}
+
 // Root delegation (E18a): a client holds a version-stamped full copy of
 // "/" and serves every walk's first component — including authoritative
 // negatives — locally, instead of serializing all cold walks on the root
