@@ -222,8 +222,7 @@ std::pair<double, double> RunWeightPair(std::uint32_t weight) {
 int main(int argc, char** argv) {
   using namespace nlss;
   using namespace nlss::bench;
-  const Args args = Args::Parse(argc, argv);
-  g_scan_streams = args.HostsOr(32);
+  g_scan_streams = Args::Parse(argc, argv, {.hosts = g_scan_streams}).hosts;
   PrintHeader("E13", "Performance isolation under shared load (QoS)",
               "one shared pool serves many programs; WFQ + token buckets "
               "keep a bulk scanner from ruining an interactive tenant's "

@@ -335,11 +335,12 @@ PhaseSummary RunCheckpoint(std::uint64_t seed, const Scale& scale,
 int main(int argc, char** argv) {
   using namespace nlss;
   using namespace nlss::bench;
-  const Args args = Args::Parse(argc, argv);
+  const Args args =
+      Args::Parse(argc, argv, {.hosts = kDefHosts, .files = kDefFiles});
   Scale scale;
-  scale.hosts = static_cast<std::uint32_t>(args.HostsOr(kDefHosts));
+  scale.hosts = static_cast<std::uint32_t>(args.hosts);
   scale.ops = static_cast<std::uint32_t>(args.ops);  // 0 = per-shape default
-  scale.files = static_cast<std::uint32_t>(args.FilesOr(kDefFiles));
+  scale.files = static_cast<std::uint32_t>(args.files);
   scale.shards = static_cast<std::uint32_t>(args.shards);  // 0 = no metadata
   scale.zipf = args.zipf;  // 0 = spec default
 

@@ -59,6 +59,7 @@ constexpr std::uint32_t kDefOpens = 1000;
 constexpr std::uint32_t kDefShards = 16;
 constexpr std::uint32_t kDefCohFiles = 2000;
 constexpr std::uint32_t kDefIngestHosts = 8;
+constexpr std::uint32_t kDefIngestOps = 600;
 constexpr std::uint32_t kCohShards = 4;
 constexpr std::uint32_t kIngestShards = 8;
 constexpr std::uint32_t kRenameDirs = 32;
@@ -376,13 +377,18 @@ IngestResult RunIngest(std::uint64_t seed, std::uint32_t hosts,
 int main(int argc, char** argv) {
   using namespace nlss;
   using namespace nlss::bench;
-  const Args args = Args::Parse(argc, argv);
-  const auto hosts = static_cast<std::uint32_t>(args.HostsOr(kDefHosts));
-  const auto opens = static_cast<std::uint32_t>(args.OpsOr(kDefOpens));
-  const auto coh_files =
-      static_cast<std::uint32_t>(args.FilesOr(kDefCohFiles));
-  const auto max_shards =
-      static_cast<std::uint32_t>(args.ShardsOr(kDefShards));
+  const Args args = Args::Parse(argc, argv,
+                                {.hosts = kDefHosts,
+                                 .ops = kDefOpens,
+                                 .files = kDefCohFiles,
+                                 .shards = kDefShards});
+  // --ops also scales the ingest, whose own default is kDefIngestOps.
+  const auto ingest_ops = static_cast<std::uint32_t>(
+      Args::Parse(argc, argv, {.ops = kDefIngestOps}).ops);
+  const auto hosts = static_cast<std::uint32_t>(args.hosts);
+  const auto opens = static_cast<std::uint32_t>(args.ops);
+  const auto coh_files = static_cast<std::uint32_t>(args.files);
+  const auto max_shards = static_cast<std::uint32_t>(args.shards);
 
   PrintHeader("E18", "Metadata scale-out (sharded namespace service)",
               "a single metadata server serializes the lab's open storms; "
@@ -468,9 +474,7 @@ int main(int argc, char** argv) {
               coherence_ok ? "PASS" : "FAIL");
 
   // --- c) metadata-led ingest -------------------------------------------------
-  const IngestResult ing =
-      RunIngest(args.seed, kDefIngestHosts,
-                static_cast<std::uint32_t>(args.OpsOr(600)));
+  const IngestResult ing = RunIngest(args.seed, kDefIngestHosts, ingest_ops);
   const bool ingest_ok = ing.create_failures == 0 && ing.writes_failed == 0 &&
                          ing.double_applies == 0 && ing.ghost_writes == 0;
   std::printf("\nE18c metadata-led ingest (%u hosts, QoS-classed creates): "
@@ -488,9 +492,7 @@ int main(int argc, char** argv) {
   const bool digest_ok =
       RunSweep(args.seed, hosts, opens, top.shards).digest == top.digest &&
       RunCoherence(args.seed, hosts, coh_files).digest == coh.digest &&
-      RunIngest(args.seed, kDefIngestHosts,
-                static_cast<std::uint32_t>(args.OpsOr(600)))
-              .digest == ing.digest;
+      RunIngest(args.seed, kDefIngestHosts, ingest_ops).digest == ing.digest;
   std::printf("\nsame-seed digest match (sweep, coherence, ingest): %s\n",
               digest_ok ? "PASS" : "FAIL");
 

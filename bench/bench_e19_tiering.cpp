@@ -218,13 +218,18 @@ RunResult Run(const char* name, bool tiered, const Scale& scale,
 int main(int argc, char** argv) {
   using namespace nlss;
   using namespace nlss::bench;
-  const Args args = Args::Parse(argc, argv);
+  const Args args = Args::Parse(argc, argv,
+                                {.hosts = kDefHosts,
+                                 .ops = kDefReads,
+                                 .files = kDefFiles,
+                                 .flash_mb = kDefFlashMb,
+                                 .zipf = 0.9});
   Scale scale;
-  scale.hosts = static_cast<std::uint32_t>(args.HostsOr(kDefHosts));
-  scale.reads = static_cast<std::uint32_t>(args.OpsOr(kDefReads));
-  scale.files = static_cast<std::uint32_t>(args.FilesOr(kDefFiles));
-  scale.flash_mb = args.FlashMbOr(kDefFlashMb);
-  scale.zipf = args.ZipfOr(0.9);
+  scale.hosts = static_cast<std::uint32_t>(args.hosts);
+  scale.reads = static_cast<std::uint32_t>(args.ops);
+  scale.files = static_cast<std::uint32_t>(args.files);
+  scale.flash_mb = args.flash_mb;
+  scale.zipf = args.zipf;
 
   PrintHeader("E19", "Workload-adaptive storage tiering",
               "a heat-tracked flash tier between DRAM and disk captures "

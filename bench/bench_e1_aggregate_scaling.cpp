@@ -130,8 +130,7 @@ double RunBaseline(std::uint32_t controllers) {
 int main(int argc, char** argv) {
   using namespace nlss;
   using namespace nlss::bench;
-  const Args args = Args::Parse(argc, argv);
-  g_hosts = args.HostsOr(48);
+  g_hosts = Args::Parse(argc, argv, {.hosts = g_hosts}).hosts;
   PrintHeader("E1", "Aggregate throughput vs controller blades (paper 2.1)",
               "adding blades scales delivered I/O without partitioning; "
               "traditional controllers plateau");

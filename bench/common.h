@@ -22,14 +22,13 @@ namespace nlss::bench {
 /// Command-line arguments shared by the bench binaries:
 ///   --seed=<n>   reseed the workload RNGs (default 7)
 ///   --json       emit machine-readable results alongside the tables
-///   --hosts=<n>  scale knob: number of hosts/processes (0 = bench default)
-///   --ops=<n>    scale knob: ops per host/stream (0 = bench default)
-///   --files=<n>  scale knob: file-set size (0 = bench default)
-///   --shards=<n> scale knob: metadata shard count (0 = bench default)
-///   --flash-mb=<n> scale knob: per-blade flash tier capacity in MiB
-///                (0 = bench default; E19)
+///   --hosts=<n>  scale knob: number of hosts/processes
+///   --ops=<n>    scale knob: ops per host/stream
+///   --files=<n>  scale knob: file-set size
+///   --shards=<n> scale knob: metadata shard count
+///   --flash-mb=<n> scale knob: per-blade flash tier capacity in MiB (E19)
 ///   --zipf=<t>   workload knob: Zipf skew theta for the trace-shaped
-///                workloads (0 = bench default; E17/E19)
+///                workloads (E17/E19)
 ///   --perturb=<n> determinism knob: permute same-tick event order with
 ///                seed n (0 = FIFO).  Equivalent to NLSS_PERTURB=<n>; the
 ///                bench's own same-seed digest gates then prove the run
@@ -37,9 +36,11 @@ namespace nlss::bench {
 ///                runs double as determinism checks (E1/E17/E19).
 /// The scale knobs let CI run the trace-shaped workloads (E17) and the
 /// scaling sweeps (E1/E13) at a reduced size without editing the bench;
-/// each bench applies only the knobs that make sense for it.  Unknown
-/// flags abort with usage, so a typo can't silently run the default
-/// experiment.
+/// each bench applies only the knobs that make sense for it.  A bench
+/// states its defaults once, as the `defaults` it passes to Parse; a
+/// scale/workload flag overrides its default, and a zero value keeps it.
+/// Unknown flags abort with usage, so a typo can't silently run the
+/// default experiment.
 struct Args {
   std::uint64_t seed = 7;
   bool json = false;
@@ -51,24 +52,11 @@ struct Args {
   double zipf = 0.0;
   std::uint64_t perturb = 0;
 
-  /// `hosts` if set, else the bench's built-in default (same for the rest).
-  std::uint64_t HostsOr(std::uint64_t def) const {
-    return hosts != 0 ? hosts : def;
-  }
-  std::uint64_t OpsOr(std::uint64_t def) const { return ops != 0 ? ops : def; }
-  std::uint64_t FilesOr(std::uint64_t def) const {
-    return files != 0 ? files : def;
-  }
-  std::uint64_t ShardsOr(std::uint64_t def) const {
-    return shards != 0 ? shards : def;
-  }
-  std::uint64_t FlashMbOr(std::uint64_t def) const {
-    return flash_mb != 0 ? flash_mb : def;
-  }
-  double ZipfOr(double def) const { return zipf != 0.0 ? zipf : def; }
-
   static Args Parse(int argc, char** argv) {
-    Args args;
+    return Parse(argc, argv, Args{});
+  }
+  static Args Parse(int argc, char** argv, Args defaults) {
+    Args args = defaults;
     const auto parse_u64 = [](const std::string& arg, std::size_t prefix) {
       char* end = nullptr;
       const std::uint64_t v =
@@ -79,6 +67,11 @@ struct Args {
       }
       return v;
     };
+    // A scale knob's zero value keeps the bench default.
+    const auto knob = [&](const std::string& arg, std::size_t prefix,
+                          std::uint64_t* field) {
+      if (const std::uint64_t v = parse_u64(arg, prefix); v != 0) *field = v;
+    };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--json") {
@@ -86,22 +79,23 @@ struct Args {
       } else if (arg.rfind("--seed=", 0) == 0) {
         args.seed = parse_u64(arg, 7);
       } else if (arg.rfind("--hosts=", 0) == 0) {
-        args.hosts = parse_u64(arg, 8);
+        knob(arg, 8, &args.hosts);
       } else if (arg.rfind("--ops=", 0) == 0) {
-        args.ops = parse_u64(arg, 6);
+        knob(arg, 6, &args.ops);
       } else if (arg.rfind("--files=", 0) == 0) {
-        args.files = parse_u64(arg, 8);
+        knob(arg, 8, &args.files);
       } else if (arg.rfind("--shards=", 0) == 0) {
-        args.shards = parse_u64(arg, 9);
+        knob(arg, 9, &args.shards);
       } else if (arg.rfind("--flash-mb=", 0) == 0) {
-        args.flash_mb = parse_u64(arg, 11);
+        knob(arg, 11, &args.flash_mb);
       } else if (arg.rfind("--zipf=", 0) == 0) {
         char* end = nullptr;
-        args.zipf = std::strtod(arg.c_str() + 7, &end);
-        if (end == nullptr || *end != '\0' || args.zipf < 0.0) {
+        const double zipf = std::strtod(arg.c_str() + 7, &end);
+        if (end == nullptr || *end != '\0' || zipf < 0.0) {
           std::fprintf(stderr, "invalid flag value: %s\n", arg.c_str());
           std::exit(2);
         }
+        if (zipf != 0.0) args.zipf = zipf;
       } else if (arg.rfind("--perturb=", 0) == 0) {
         args.perturb = parse_u64(arg, 10);
         // Engines read NLSS_PERTURB at construction; exporting it here —

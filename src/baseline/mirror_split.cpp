@@ -40,15 +40,15 @@ void MirrorSplitReplicator::ShipChunks(std::uint64_t remaining) {
     return;
   }
   const std::uint64_t n = std::min(remaining, config_.chunk_bytes);
-  fabric_.Send(src_, dst_, n,
-               [this, remaining, n] {
-                 shipped_ += n;
-                 ShipChunks(remaining - n);
-               },
-               [this] {
-                 // WAN down or source dead: the cycle never completes.
-                 running_ = false;
-               });
+  fabric_.Send(src_, dst_, n, [this, remaining, n](bool delivered) {
+    if (!delivered) {
+      // WAN down or source dead: the cycle never completes.
+      running_ = false;
+      return;
+    }
+    shipped_ += n;
+    ShipChunks(remaining - n);
+  });
 }
 
 sim::Tick MirrorSplitReplicator::RecoveryPointAge() const {

@@ -103,10 +103,9 @@ void TraditionalArray::FlushKey(std::uint32_t c, std::uint32_t lun,
           const std::uint32_t p = partner(c);
           if (p != c) {
             fabric_.Send(ctrl.node, ctrls_[p]->node, 64,
-                         [this, p, key] {
-                           ctrls_[p]->partner_mirror.erase(key);
-                         },
-                         nullptr);
+                         [this, p, key](bool delivered) {
+                           if (delivered) ctrls_[p]->partner_mirror.erase(key);
+                         });
           }
         }
         cb(ok);
@@ -195,22 +194,24 @@ void TraditionalArray::WritePage(std::uint32_t c, std::uint32_t lun,
         ctrl.compute.AcquireBytes(data.size(), config_.serve_ns_per_byte);
     // Mirror the dirty page to the partner before acking (active-passive).
     const std::uint32_t p = partner(c);
-    auto shared_cb = std::make_shared<WriteCallback>(std::move(cb));
-    engine_.ScheduleAt(done, [this, c, p, key, base = std::move(base),
-                              lun, page, shared_cb]() mutable {
+    engine_.ScheduleAt(done, [this, c, p, key, base = std::move(base), lun,
+                              page, cb = std::move(cb)]() mutable {
       if (p == c || !ctrls_[p]->alive) {
-        (*shared_cb)(true);
+        cb(true);
         FlushKey(c, lun, page, [](bool) {});
         return;
       }
-      auto shared = std::make_shared<util::Bytes>(std::move(base));
       fabric_.Send(ctrls_[c]->node, ctrls_[p]->node, config_.page_bytes,
-                   [this, c, p, key, lun, page, shared, shared_cb] {
-                     ctrls_[p]->partner_mirror[key] = std::move(*shared);
-                     (*shared_cb)(true);
+                   [this, c, p, key, lun, page, base = std::move(base),
+                    cb = std::move(cb)](bool delivered) mutable {
+                     if (!delivered) {
+                       cb(false);
+                       return;
+                     }
+                     ctrls_[p]->partner_mirror[key] = std::move(base);
+                     cb(true);
                      FlushKey(c, lun, page, [](bool) {});
-                   },
-                   [shared_cb] { (*shared_cb)(false); });
+                   });
     });
   };
 
@@ -235,54 +236,40 @@ void TraditionalArray::Read(net::NodeId host, std::uint32_t lun,
     engine_.Schedule(0, [cb = std::move(cb)] { cb(false, {}); });
     return;
   }
-  const std::uint32_t pb = config_.page_bytes;
   auto result = std::make_shared<util::Bytes>(length, 0);
-  struct Piece {
-    std::uint64_t page;
-    std::uint32_t in_page;
-    std::uint32_t len;
-    std::size_t out;
-  };
-  std::vector<Piece> pieces;
-  std::uint64_t cur = offset;
-  std::uint32_t left = length;
-  std::size_t out = 0;
-  while (left > 0) {
-    const std::uint64_t page = cur / pb;
-    const std::uint32_t in_page = static_cast<std::uint32_t>(cur % pb);
-    const std::uint32_t n = std::min(left, pb - in_page);
-    pieces.push_back({page, in_page, n, out});
-    cur += n;
-    left -= n;
-    out += n;
-  }
-  auto shared_cb = std::make_shared<ReadCallback>(std::move(cb));
-  fabric_.Send(host, ctrls_[c]->node, 128, [this, c, lun, host, pieces, result,
-                                            shared_cb, length] {
+  fabric_.Send(host, ctrls_[c]->node, 128, [this, c, lun, host, offset, result,
+                                            length, cb = std::move(cb)](
+                                               bool delivered) mutable {
+    if (!delivered) {
+      cb(false, {});
+      return;
+    }
+    const std::vector<util::PagePiece> pieces =
+        util::SplitPages(offset, length, config_.page_bytes);
     auto join = std::make_shared<Join>(
         static_cast<int>(pieces.size()),
-        [this, c, host, result, shared_cb, length](bool ok) {
+        [this, c, host, result, length, cb = std::move(cb)](bool ok) mutable {
           if (!ok) {
-            (*shared_cb)(false, {});
+            cb(false, {});
             return;
           }
           fabric_.Send(ctrls_[c]->node, host, length,
-                       [result, shared_cb] {
-                         (*shared_cb)(true, std::move(*result));
-                       },
-                       [shared_cb] { (*shared_cb)(false, {}); });
+                       [result, cb = std::move(cb)](bool delivered) {
+                         cb(delivered,
+                            delivered ? std::move(*result) : util::Bytes{});
+                       });
         });
-    for (const Piece& p : pieces) {
+    for (const util::PagePiece& p : pieces) {
       ReadPage(c, lun, p.page,
                [p, result, join](bool ok, util::Bytes page_data) {
                  if (ok) {
-                   std::memcpy(result->data() + p.out,
+                   std::memcpy(result->data() + p.at,
                                page_data.data() + p.in_page, p.len);
                  }
                  join->Arrive(ok);
                });
     }
-  }, [shared_cb] { (*shared_cb)(false, {}); });
+  });
 }
 
 void TraditionalArray::Write(net::NodeId host, std::uint32_t lun,
@@ -294,42 +281,25 @@ void TraditionalArray::Write(net::NodeId host, std::uint32_t lun,
     engine_.Schedule(0, [cb = std::move(cb)] { cb(false); });
     return;
   }
-  const std::uint32_t pb = config_.page_bytes;
-  auto src = std::make_shared<util::Bytes>(data.begin(), data.end());
-  auto shared_cb = std::make_shared<WriteCallback>(std::move(cb));
-  fabric_.Send(host, ctrls_[c]->node, src->size(), [this, c, lun, offset, src,
-                                                    pb, shared_cb] {
-    struct Piece {
-      std::uint64_t page;
-      std::uint32_t in_page;
-      std::size_t off;
-      std::uint32_t len;
-    };
-    std::vector<Piece> pieces;
-    std::uint64_t cur = offset;
-    std::size_t soff = 0;
-    std::size_t left = src->size();
-    while (left > 0) {
-      const std::uint64_t page = cur / pb;
-      const std::uint32_t in_page = static_cast<std::uint32_t>(cur % pb);
-      const std::uint32_t n = static_cast<std::uint32_t>(
-          std::min<std::size_t>(left, pb - in_page));
-      pieces.push_back({page, in_page, soff, n});
-      cur += n;
-      soff += n;
-      left -= n;
+  util::Bytes src(data.begin(), data.end());
+  fabric_.Send(host, ctrls_[c]->node, data.size(), [this, c, lun, offset,
+                                                    src = std::move(src),
+                                                    cb = std::move(cb)](
+                                                       bool delivered) mutable {
+    if (!delivered) {
+      cb(false);
+      return;
     }
-    auto join = std::make_shared<Join>(
-        static_cast<int>(pieces.size()),
-        [shared_cb](bool ok) { (*shared_cb)(ok); });
-    for (const Piece& p : pieces) {
-      util::Bytes chunk(src->begin() + static_cast<std::ptrdiff_t>(p.off),
-                        src->begin() +
-                            static_cast<std::ptrdiff_t>(p.off + p.len));
-      WritePage(c, lun, p.page, p.in_page, std::move(chunk),
+    const std::vector<util::PagePiece> pieces =
+        util::SplitPages(offset, src.size(), config_.page_bytes);
+    auto join =
+        std::make_shared<Join>(static_cast<int>(pieces.size()), std::move(cb));
+    for (const util::PagePiece& p : pieces) {
+      const auto begin = src.begin() + static_cast<std::ptrdiff_t>(p.at);
+      WritePage(c, lun, p.page, p.in_page, util::Bytes(begin, begin + p.len),
                 [join](bool ok) { join->Arrive(ok); });
     }
-  }, [shared_cb] { (*shared_cb)(false); });
+  });
 }
 
 void TraditionalArray::FailController(std::uint32_t c) {

@@ -55,29 +55,39 @@ std::uint32_t CacheCluster::PageBlocks(std::uint32_t volume) const {
 }
 
 void CacheCluster::Msg(ControllerId from, ControllerId to, std::uint64_t bytes,
-                       std::function<void()> delivered, Failure on_drop,
-                       obs::TraceContext ctx) {
-  fabric_.Send(ctrls_[from]->node, ctrls_[to]->node, bytes,
-               std::move(delivered), std::move(on_drop), ctx);
+                       net::Fabric::Completion done, obs::TraceContext ctx) {
+  fabric_.Send(ctrls_[from]->node, ctrls_[to]->node, bytes, std::move(done),
+               ctx);
 }
 
 net::Fabric::Outbound CacheCluster::Out(ControllerId from, ControllerId to,
                                         std::uint64_t bytes,
-                                        std::function<void()> delivered,
-                                        Failure on_drop,
+                                        net::Fabric::Completion done,
                                         obs::TraceContext ctx) {
   return net::Fabric::Outbound{.src = ctrls_[from]->node,
                                .dst = ctrls_[to]->node,
                                .bytes = bytes,
-                               .on_delivered = std::move(delivered),
-                               .on_dropped = std::move(on_drop),
+                               .done = std::move(done),
                                .ctx = ctx};
+}
+
+net::Fabric::Completion CacheCluster::UnpinReplica(ControllerId owner,
+                                                   ControllerId site,
+                                                   const PageKey& key) {
+  return [this, owner, site, key](bool delivered) {
+    if (!delivered) return;
+    CacheNode::Frame* rf = ctrls_[site]->cache.Find(key);
+    if (rf != nullptr && rf->is_replica && rf->replica_owner == owner) {
+      ctrls_[site]->cache.Erase(key);
+      EraseExtra(site, key);
+    }
+  };
 }
 
 // --- Directory entry serialization ------------------------------------------
 
 void CacheCluster::AcquireEntry(ControllerId home, const PageKey& key,
-                                std::function<void()> fn) {
+                                sim::Callback fn) {
   DirEntry& e = dir_[home][key];
   if (e.busy) {
     e.waiters.push_back(std::move(fn));
@@ -416,16 +426,8 @@ void CacheCluster::FlushRun(ControllerId ctrl, std::vector<PageKey> run,
             std::vector<net::Fabric::Outbound> releases;
             for (const ControllerId site : ex.replica_sites) {
               if (!ctrls_[site]->alive) continue;
-              releases.push_back(Out(
-                  ctrl, site, config_.ctrl_msg_bytes,
-                  [this, site, key, ctrl] {
-                    CacheNode::Frame* rf = ctrls_[site]->cache.Find(key);
-                    if (rf != nullptr && rf->is_replica &&
-                        rf->replica_owner == ctrl) {
-                      ctrls_[site]->cache.Erase(key);
-                      EraseExtra(site, key);
-                    }
-                  }));
+              releases.push_back(Out(ctrl, site, config_.ctrl_msg_bytes,
+                                     UnpinReplica(ctrl, site, key)));
             }
             if (!releases.empty()) fabric_.SendBatch(std::move(releases));
             ex.replica_sites.clear();
@@ -521,40 +523,39 @@ void CacheCluster::FetchCurrent(ControllerId via, PageKey key,
     }
   }
 
-  auto shared_cb = std::make_shared<std::function<void(bool, util::Bytes)>>(
-      std::move(cb));
-
-  auto backing_path = [this, via, home, key, shared_cb, ctx]() mutable {
+  // Read from the backing store at the home, then ship the page to `via`.
+  auto backing_path = [this, via, home, key,
+                       ctx](std::function<void(bool, util::Bytes)> cb) {
     ReadFromBacking(
         home, key,
-        [this, via, home, shared_cb, ctx](bool ok,
-                                          util::Bytes data) mutable {
+        [this, via, home, ctx, cb = std::move(cb)](bool ok,
+                                                   util::Bytes data) mutable {
           if (!ok) {
-            (*shared_cb)(false, {});
+            cb(false, {});
             return;
           }
           const sim::Tick done = ctrls_[home]->compute.AcquireBytes(
               config_.page_bytes, config_.serve_ns_per_byte);
           ctrls_[home]->stats.bytes_served += config_.page_bytes;
           engine_.ScheduleAt(done, [this, via, home, data = std::move(data),
-                                    shared_cb, ctx]() mutable {
+                                    cb = std::move(cb), ctx]() mutable {
             if (home == via) {
-              (*shared_cb)(true, std::move(data));
+              cb(true, std::move(data));
               return;
             }
-            auto shared_data = std::make_shared<util::Bytes>(std::move(data));
             Msg(home, via, config_.page_bytes,
-                [shared_data, shared_cb] {
-                  (*shared_cb)(true, std::move(*shared_data));
+                [data = std::move(data),
+                 cb = std::move(cb)](bool delivered) mutable {
+                  cb(delivered, delivered ? std::move(data) : util::Bytes{});
                 },
-                [shared_cb] { (*shared_cb)(false, {}); }, ctx);
+                ctx);
           });
         },
         ctx);
   };
 
   if (source == kNoController) {
-    backing_path();
+    backing_path(std::move(cb));
     return;
   }
 
@@ -564,33 +565,33 @@ void CacheCluster::FetchCurrent(ControllerId via, PageKey key,
   const obs::TraceContext fwd =
       obs::StartSpan(ctx, obs::Layer::kCache, "cache.forward");
   Msg(home, source, config_.ctrl_msg_bytes,
-      [this, via, source, key, shared_cb, backing_path, fwd]() mutable {
+      [this, via, source, key, backing_path, fwd,
+       cb = std::move(cb)](bool delivered) mutable {
+        if (!delivered) {
+          obs::EndSpan(fwd);
+          cb(false, {});
+          return;
+        }
         CacheNode::Frame* f = ctrls_[source]->cache.Find(key);
         if (f == nullptr) {
           obs::EndSpan(fwd);
-          backing_path();  // frame evicted while the request was in flight
+          // Frame evicted while the request was in flight.
+          backing_path(std::move(cb));
           return;
         }
         const sim::Tick done = ctrls_[source]->compute.AcquireBytes(
             config_.page_bytes, config_.serve_ns_per_byte);
         ctrls_[source]->stats.bytes_served += config_.page_bytes;
-        auto data = std::make_shared<util::Bytes>(f->data);
-        engine_.ScheduleAt(done, [this, source, via, data, shared_cb, fwd] {
+        engine_.ScheduleAt(done, [this, source, via, data = f->data,
+                                  cb = std::move(cb), fwd]() mutable {
           Msg(source, via, config_.page_bytes,
-              [data, shared_cb, fwd] {
+              [data = std::move(data), cb = std::move(cb),
+               fwd](bool delivered) mutable {
                 obs::EndSpan(fwd);
-                (*shared_cb)(true, std::move(*data));
-              },
-              [shared_cb, fwd] {
-                obs::EndSpan(fwd);
-                (*shared_cb)(false, {});
+                cb(delivered, delivered ? std::move(data) : util::Bytes{});
               },
               fwd);
         });
-      },
-      [shared_cb, fwd] {
-        obs::EndSpan(fwd);
-        (*shared_cb)(false, {});
       },
       fwd);
 }
@@ -620,36 +621,35 @@ void CacheCluster::InvalidateHolders(ControllerId except, PageKey key,
 
   for (const ControllerId h : holders) {
     Msg(home, h, config_.ctrl_msg_bytes,
-        [this, h, home, key, join, ctx] {
+        [this, h, home, key, join, ctx](bool delivered) {
+          if (!delivered) {
+            join->Arrive(true);
+            return;
+          }
           // Local invalidation at h.  Deferred while a flush is in flight
           // so the on-disk image never goes backwards in time.
-          std::function<void()> inv = [this, h, home, key, join, ctx] {
-            CacheNode::Frame* f = ctrls_[h]->cache.Find(key);
-            if (f != nullptr) {
-              FrameExtra& ex = Extra(h, key);
-              if (ex.flushing) {
-                ex.flush_waiters.push_back([this, h, home, key, join, ctx] {
-                  // Retry the invalidation after the flush completes.
-                  CacheNode::Frame* f2 = ctrls_[h]->cache.Find(key);
-                  if (f2 != nullptr) {
-                    DropFrameWithReplicas(h, key);
-                  }
-                  Msg(h, home, config_.ctrl_msg_bytes,
-                      [join] { join->Arrive(true); },
-                      [join] { join->Arrive(true); }, ctx);
-                });
-                return;
-              }
-              DropFrameWithReplicas(h, key);
+          CacheNode::Frame* f = ctrls_[h]->cache.Find(key);
+          if (f != nullptr) {
+            FrameExtra& ex = Extra(h, key);
+            if (ex.flushing) {
+              ex.flush_waiters.push_back([this, h, home, key, join, ctx] {
+                // Retry the invalidation after the flush completes.
+                CacheNode::Frame* f2 = ctrls_[h]->cache.Find(key);
+                if (f2 != nullptr) {
+                  DropFrameWithReplicas(h, key);
+                }
+                Msg(h, home, config_.ctrl_msg_bytes,
+                    [join](bool) { join->Arrive(true); }, ctx);
+              });
+              return;
             }
-            ++ctrls_[h]->stats.invalidations_received;
-            Msg(h, home, config_.ctrl_msg_bytes,
-                [join] { join->Arrive(true); },
-                [join] { join->Arrive(true); }, ctx);
-          };
-          inv();
+            DropFrameWithReplicas(h, key);
+          }
+          ++ctrls_[h]->stats.invalidations_received;
+          Msg(h, home, config_.ctrl_msg_bytes,
+              [join](bool) { join->Arrive(true); }, ctx);
         },
-        [join] { join->Arrive(true); }, ctx);
+        ctx);
   }
 }
 
@@ -659,15 +659,7 @@ void CacheCluster::DropFrameWithReplicas(ControllerId ctrl,
   // Unpin any replicas this (former) owner parked on peers.
   for (const ControllerId site : ex.replica_sites) {
     if (!ctrls_[site]->alive) continue;
-    Msg(ctrl, site, config_.ctrl_msg_bytes,
-        [this, site, key, ctrl] {
-          CacheNode::Frame* rf = ctrls_[site]->cache.Find(key);
-          if (rf != nullptr && rf->is_replica && rf->replica_owner == ctrl) {
-            ctrls_[site]->cache.Erase(key);
-            EraseExtra(site, key);
-          }
-        },
-        nullptr);
+    Msg(ctrl, site, config_.ctrl_msg_bytes, UnpinReplica(ctrl, site, key));
   }
   ctrls_[ctrl]->cache.Erase(key);
   EraseExtra(ctrl, key);
@@ -707,15 +699,7 @@ void CacheCluster::ReplicateDirty(ControllerId owner_ctrl, PageKey key,
     }
     if (!ctrls_[old]->alive) continue;
     Msg(owner_ctrl, old, config_.ctrl_msg_bytes,
-        [this, old, key, owner_ctrl] {
-          CacheNode::Frame* rf = ctrls_[old]->cache.Find(key);
-          if (rf != nullptr && rf->is_replica &&
-              rf->replica_owner == owner_ctrl) {
-            ctrls_[old]->cache.Erase(key);
-            EraseExtra(old, key);
-          }
-        },
-        nullptr);
+        UnpinReplica(owner_ctrl, old, key));
   }
   ex.replica_sites = targets;
   if (targets.empty()) {
@@ -733,16 +717,19 @@ void CacheCluster::ReplicateDirty(ControllerId owner_ctrl, PageKey key,
   for (const ControllerId t : targets) {
     copies.push_back(Out(
         owner_ctrl, t, config_.page_bytes,
-        [this, t, key, owner_ctrl, data, join, ctx] {
+        [this, t, key, owner_ctrl, data, join, ctx](bool delivered) {
+          if (!delivered) {
+            join->Arrive(false);
+            return;
+          }
           CacheNode::Frame& rf = InstallFrame(t, key, *data);
           rf.is_replica = true;
           rf.replica_owner = owner_ctrl;
           rf.dirty = false;
           Msg(t, owner_ctrl, config_.ctrl_msg_bytes,
-              [join] { join->Arrive(true); },
-              [join] { join->Arrive(true); }, ctx);
+              [join](bool) { join->Arrive(true); }, ctx);
         },
-        [join] { join->Arrive(false); }, ctx));
+        ctx));
   }
   fabric_.SendBatch(std::move(copies));
 }
@@ -796,15 +783,10 @@ void CacheCluster::HandleGetX(ControllerId via, PageKey key,
   const bool full_page =
       offset == 0 && data.size() == config_.page_bytes;
 
-  auto fail = [this, home, key, cb](const char*) {
-    ReleaseEntry(home, key);
-    cb(false);
-  };
-
   // Step 3 onwards, once we know the page's base content.
   auto apply = [this, via, home, key, offset, data = std::move(data),
-                replication, priority, cb, ctx, wid,
-                fail](util::Bytes base) mutable {
+                replication, priority, cb, ctx,
+                wid](util::Bytes base) mutable {
     InvalidateHolders(
         via, key,
         [this, via, home, key, offset, data = std::move(data), replication,
@@ -875,9 +857,11 @@ void CacheCluster::HandleGetX(ControllerId via, PageKey key,
   }
   FetchCurrent(
       via, key,
-      [apply = std::move(apply), fail](bool ok, util::Bytes base) mutable {
+      [this, home, key, cb, apply = std::move(apply)](
+          bool ok, util::Bytes base) mutable {
         if (!ok) {
-          fail("fetch");
+          ReleaseEntry(home, key);
+          cb(false);
           return;
         }
         apply(std::move(base));
@@ -945,25 +929,28 @@ void CacheCluster::ReadPage(ControllerId via, PageKey key,
   }
   if (demand) MaybeReadahead(via, key);
   const ControllerId home = HomeOf(key);
-  auto shared_cb = std::make_shared<std::function<void(bool, util::Bytes)>>(
-      [span, cb = std::move(cb)](bool ok, util::Bytes data) mutable {
-        obs::EndSpan(span);
-        cb(ok, std::move(data));
-      });
   Msg(via, home, config_.ctrl_msg_bytes,
-      [this, via, home, key, priority, shared_cb, span] {
+      [this, via, home, key, priority, span,
+       cb = std::move(cb)](bool delivered) mutable {
+        if (!delivered) {
+          obs::EndSpan(span);
+          cb(false, {});
+          return;
+        }
         // GetS arrival at the home: this is where the directory decides the
         // order of contending ops (AcquireEntry grants in arrival order).
         NLSS_ACCESS(kCache, RaceKey(key), kRead);
-        AcquireEntry(home, key, [this, via, key, priority, shared_cb, span] {
+        AcquireEntry(home, key, [this, via, key, priority, span,
+                                 cb = std::move(cb)]() mutable {
           HandleGetS(via, key, priority,
-                     [shared_cb](bool ok, util::Bytes data) {
-                       (*shared_cb)(ok, std::move(data));
+                     [span, cb = std::move(cb)](bool ok, util::Bytes data) {
+                       obs::EndSpan(span);
+                       cb(ok, std::move(data));
                      },
                      span);
         });
       },
-      [shared_cb] { (*shared_cb)(false, {}); }, span);
+      span);
 }
 
 void CacheCluster::WritePage(ControllerId via, PageKey key,
@@ -982,27 +969,29 @@ void CacheCluster::WritePage(ControllerId via, PageKey key,
   const ControllerId home = HomeOf(key);
   const obs::TraceContext span =
       obs::StartSpan(ctx, obs::Layer::kCache, "cache.page");
-  auto shared_cb = std::make_shared<WriteCallback>(
-      [span, cb = std::move(cb)](bool ok) mutable {
-        obs::EndSpan(span);
-        cb(ok);
-      });
-  auto shared_data = std::make_shared<util::Bytes>(std::move(data));
   Msg(via, home, config_.ctrl_msg_bytes,
-      [this, via, home, key, offset, replication, priority, shared_cb,
-       shared_data, span, wid] {
+      [this, via, home, key, offset, replication, priority, span, wid,
+       data = std::move(data), cb = std::move(cb)](bool delivered) mutable {
+        if (!delivered) {
+          obs::EndSpan(span);
+          cb(false);
+          return;
+        }
         // GetX arrival: a same-tick unrelated read or write of this page
         // would see before- or after-image depending on queue order.
         NLSS_ACCESS(kCache, RaceKey(key), kWrite);
         AcquireEntry(home, key,
-                     [this, via, key, offset, replication, priority,
-                      shared_cb, shared_data, span, wid] {
-          HandleGetX(via, key, offset, std::move(*shared_data), replication,
-                     priority, [shared_cb](bool ok) { (*shared_cb)(ok); },
+                     [this, via, key, offset, replication, priority, span, wid,
+                      data = std::move(data), cb = std::move(cb)]() mutable {
+          HandleGetX(via, key, offset, std::move(data), replication, priority,
+                     [span, cb = std::move(cb)](bool ok) {
+                       obs::EndSpan(span);
+                       cb(ok);
+                     },
                      span, wid);
         });
       },
-      [shared_cb] { (*shared_cb)(false); }, span);
+      span);
 }
 
 // --- Byte-level API -------------------------------------------------------------
@@ -1014,40 +1003,21 @@ void CacheCluster::Read(ControllerId via, std::uint32_t volume,
   assert(length > 0);
   const obs::TraceContext span =
       obs::StartSpan(ctx, obs::Layer::kCache, "cache.read");
-  const std::uint32_t pb = config_.page_bytes;
   auto result = std::make_shared<util::Bytes>(length, 0);
-  struct Piece {
-    PageKey key;
-    std::uint32_t in_page;
-    std::uint32_t len;
-    std::size_t out;
-  };
-  std::vector<Piece> pieces;
-  std::uint64_t cur = offset;
-  std::uint32_t left = length;
-  std::size_t out = 0;
-  while (left > 0) {
-    const std::uint64_t page = cur / pb;
-    const std::uint32_t in_page = static_cast<std::uint32_t>(cur % pb);
-    const std::uint32_t n = std::min(left, pb - in_page);
-    pieces.push_back(Piece{PageKey{volume, page}, in_page, n, out});
-    cur += n;
-    left -= n;
-    out += n;
-  }
+  const std::vector<util::PagePiece> pieces =
+      util::SplitPages(offset, length, config_.page_bytes);
   auto join = std::make_shared<Join>(
       static_cast<int>(pieces.size()),
       [result, span, cb = std::move(cb)](bool ok) {
         obs::EndSpan(span);
         cb(ok, ok ? std::move(*result) : util::Bytes{});
       });
-  for (const Piece& p : pieces) {
+  for (const util::PagePiece& p : pieces) {
     ReadPage(
-        via, p.key,
+        via, PageKey{volume, p.page},
         [p, result, join](bool ok, util::Bytes page) {
           if (ok) {
-            std::memcpy(result->data() + p.out, page.data() + p.in_page,
-                        p.len);
+            std::memcpy(result->data() + p.at, page.data() + p.in_page, p.len);
           }
           join->Arrive(ok);
         },
@@ -1074,37 +1044,18 @@ void CacheCluster::WriteWithReplication(ControllerId via, std::uint32_t volume,
   assert(!data.empty());
   const obs::TraceContext span =
       obs::StartSpan(ctx, obs::Layer::kCache, "cache.write");
-  const std::uint32_t pb = config_.page_bytes;
-  struct Piece {
-    PageKey key;
-    std::uint32_t in_page;
-    std::size_t src;
-    std::uint32_t len;
-  };
-  std::vector<Piece> pieces;
-  std::uint64_t cur = offset;
-  std::size_t src = 0;
-  std::size_t left = data.size();
-  while (left > 0) {
-    const std::uint64_t page = cur / pb;
-    const std::uint32_t in_page = static_cast<std::uint32_t>(cur % pb);
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(std::min<std::size_t>(left, pb - in_page));
-    pieces.push_back(Piece{PageKey{volume, page}, in_page, src, n});
-    cur += n;
-    src += n;
-    left -= n;
-  }
+  const std::vector<util::PagePiece> pieces =
+      util::SplitPages(offset, data.size(), config_.page_bytes);
   auto join = std::make_shared<Join>(
       static_cast<int>(pieces.size()),
       [span, cb = std::move(cb)](bool ok) {
         obs::EndSpan(span);
         cb(ok);
       });
-  for (const Piece& p : pieces) {
-    util::Bytes chunk(data.begin() + static_cast<std::ptrdiff_t>(p.src),
-                      data.begin() + static_cast<std::ptrdiff_t>(p.src + p.len));
-    WritePage(via, p.key, p.in_page, std::move(chunk), replication, priority,
+  for (const util::PagePiece& p : pieces) {
+    const std::span<const std::uint8_t> piece = data.subspan(p.at, p.len);
+    WritePage(via, PageKey{volume, p.page}, p.in_page,
+              util::Bytes(piece.begin(), piece.end()), replication, priority,
               [join](bool ok) { join->Arrive(ok); }, span, wid);
   }
 }

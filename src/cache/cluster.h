@@ -201,7 +201,7 @@ class CacheCluster {
     ControllerId owner = kNoController;
     std::set<ControllerId> sharers;
     bool busy = false;
-    std::deque<std::function<void()>> waiters;
+    std::deque<sim::Callback> waiters;
     sim::Tick owner_since = 0;  // invariant: ownership transfer is monotone
   };
 
@@ -209,31 +209,31 @@ class CacheCluster {
     // Cluster-side bookkeeping for dirty frames, keyed (ctrl, page).
     std::vector<ControllerId> replica_sites;
     bool flushing = false;
-    std::vector<std::function<void()>> flush_waiters;
+    std::vector<sim::Callback> flush_waiters;
   };
-
-  using Failure = std::function<void()>;
 
   ControllerId HomeOf(const PageKey& key) const;
   std::uint32_t PageBlocks(std::uint32_t volume) const;
 
-  /// Fabric send between controllers with explicit failure path.
+  /// Fabric send between controllers; `done(delivered)` runs exactly once.
   void Msg(ControllerId from, ControllerId to, std::uint64_t bytes,
-           std::function<void()> delivered, Failure on_drop,
-           obs::TraceContext ctx = {});
+           net::Fabric::Completion done, obs::TraceContext ctx = {});
 
   /// Build one element of a Fabric::SendBatch group (controller ids mapped
   /// to fabric nodes).  Used by the replica fan-outs so a whole group of
   /// controller messages enters the event queue in one batched insertion.
   net::Fabric::Outbound Out(ControllerId from, ControllerId to,
-                            std::uint64_t bytes,
-                            std::function<void()> delivered,
-                            Failure on_drop = nullptr,
+                            std::uint64_t bytes, net::Fabric::Completion done,
                             obs::TraceContext ctx = {});
 
+  /// Completion of an unpin message from `owner` to `site`: once delivered,
+  /// erase the replica of `key` that `owner` parked at `site` (if it is
+  /// still that owner's replica).
+  net::Fabric::Completion UnpinReplica(ControllerId owner, ControllerId site,
+                                       const PageKey& key);
+
   /// Serialize per-page operations through the home directory entry.
-  void AcquireEntry(ControllerId home, const PageKey& key,
-                    std::function<void()> fn);
+  void AcquireEntry(ControllerId home, const PageKey& key, sim::Callback fn);
   void ReleaseEntry(ControllerId home, const PageKey& key);
 
   /// Make room and insert/overwrite a frame with `data`.

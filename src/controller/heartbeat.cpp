@@ -28,13 +28,17 @@ void HeartbeatMonitor::Tick() {
     // Probe + ack round trip; a drop in either direction counts a miss.
     system_.fabric().Send(
         system_.controller_node(monitor), system_.controller_node(c), 64,
-        [this, monitor, c] {
-          system_.fabric().Send(
-              system_.controller_node(c), system_.controller_node(monitor),
-              64, [this, c] { misses_[c] = 0; },
-              [this, c] { ++misses_[c]; });
-        },
-        [this, c] { ++misses_[c]; });
+        [this, monitor, c](bool delivered) {
+          if (!delivered) {
+            ++misses_[c];
+            return;
+          }
+          system_.fabric().Send(system_.controller_node(c),
+                                system_.controller_node(monitor), 64,
+                                [this, c](bool acked) {
+                                  misses_[c] = acked ? 0 : misses_[c] + 1;
+                                });
+        });
   }
   system_.engine().Schedule(config_.interval_ns, [this, monitor] {
     if (!running_) return;

@@ -96,8 +96,13 @@ void HighSpeedPort::IssueSegment(const std::shared_ptr<StreamState>& s,
         }
         system_.fabric().Send(
             system_.controller_node(blade), port_node_, bytes,
-            [this, s, seq, bytes] { SegmentAtPort(s, seq, bytes); },
-            [retry, blade] { retry(blade); });
+            [this, s, seq, bytes, retry, blade](bool delivered) {
+              if (delivered) {
+                SegmentAtPort(s, seq, bytes);
+              } else {
+                retry(blade);
+              }
+            });
       });
 }
 
@@ -115,19 +120,17 @@ void HighSpeedPort::PumpEgress(const std::shared_ptr<StreamState>& s) {
     const std::uint64_t bytes = it->second;
     s->arrived.erase(it);
     ++s->next_to_deliver;
-    system_.fabric().Send(
-        port_node_, client_node_, bytes,
-        [this, s, bytes] {
-          s->delivered_bytes += bytes;
-          --s->outstanding;
-          IssueMore(s);
-          MaybeFinish(s);
-        },
-        [this, s] {
-          s->failed = true;
-          --s->outstanding;
-          MaybeFinish(s);
-        });
+    system_.fabric().Send(port_node_, client_node_, bytes,
+                          [this, s, bytes](bool delivered) {
+                            --s->outstanding;
+                            if (delivered) {
+                              s->delivered_bytes += bytes;
+                              IssueMore(s);
+                            } else {
+                              s->failed = true;
+                            }
+                            MaybeFinish(s);
+                          });
   }
 }
 

@@ -441,24 +441,34 @@ void StorageSystem::Attempt(std::shared_ptr<const Io> io,
     const net::NodeId blade = controller_nodes_[ctrl];
     fabric_.Send(
         io->host, blade, io->write ? bytes : config_.cache.ctrl_msg_bytes,
-        [this, io, ctrl, blade, finish, ctx] {
+        [this, io, ctrl, blade, finish = std::move(finish),
+         ctx](bool delivered) mutable {
+          if (!delivered) {
+            finish(false, {});
+            return;
+          }
           Serve(
               *io, ctrl,
-              [this, io, blade, finish, ctx](bool ok, util::Bytes data) {
+              [this, io, blade, finish = std::move(finish), ctx](
+                  bool ok, util::Bytes data) mutable {
                 if (!ok) {
                   finish(false, {});
                   return;
                 }
-                auto payload = std::make_shared<util::Bytes>(std::move(data));
+                const std::uint64_t reply_bytes =
+                    io->write ? config_.cache.ctrl_msg_bytes : data.size();
                 fabric_.Send(
-                    blade, io->host,
-                    io->write ? config_.cache.ctrl_msg_bytes : payload->size(),
-                    [finish, payload] { finish(true, std::move(*payload)); },
-                    [finish] { finish(false, {}); }, ctx);
+                    blade, io->host, reply_bytes,
+                    [finish = std::move(finish),
+                     data = std::move(data)](bool delivered) mutable {
+                      finish(delivered,
+                             delivered ? std::move(data) : util::Bytes{});
+                    },
+                    ctx);
               },
               ctx);
         },
-        [finish] { finish(false, {}); }, ctx);
+        ctx);
   };
   // A rejection (backpressure) fails the attempt; the retry policy that
   // spaces re-submissions is the caller's (Multipath or the host initiator).

@@ -50,10 +50,9 @@ void GeoCluster::ConnectSites(SiteId a, SiteId b,
 }
 
 void GeoCluster::Ship(SiteId from, SiteId to, std::uint64_t bytes,
-                      std::function<void()> delivered,
-                      std::function<void()> dropped) {
+                      net::Fabric::Completion done) {
   fabric_.Send(sites_[from]->gateway(), sites_[to]->gateway(), bytes,
-               std::move(delivered), std::move(dropped));
+               std::move(done));
 }
 
 // --- Namespace ---------------------------------------------------------------
@@ -211,7 +210,11 @@ void GeoCluster::HomeWriteAndReplicate(const std::string& path,
             });
         for (const SiteId t : sync_targets) {
           Ship(home, t, shared_data->size(),
-               [this, t, path, offset, shared_data, home, join] {
+               [this, t, path, offset, shared_data, home, join](bool delivered) {
+                 if (!delivered) {
+                   join->Arrive(false);
+                   return;
+                 }
                  ApplyRemoteWrite(
                      t, path, offset, *shared_data, [this, t, home, join](bool ok) {
                        if (!ok) {
@@ -220,11 +223,9 @@ void GeoCluster::HomeWriteAndReplicate(const std::string& path,
                        }
                        // Ack back over the WAN.
                        Ship(t, home, config_.ctrl_msg_bytes,
-                            [join] { join->Arrive(true); },
-                            [join] { join->Arrive(false); });
+                            [join](bool acked) { join->Arrive(acked); });
                      });
-               },
-               [join] { join->Arrive(false); });
+               });
         }
       });
 }
@@ -244,20 +245,24 @@ void GeoCluster::Write(SiteId via, const std::string& path,
     return;
   }
   // Forward to the home site over the WAN; ack returns the same way.
-  auto shared = std::make_shared<util::Bytes>(std::move(copy));
-  auto shared_cb = std::make_shared<WriteCallback>(std::move(cb));
   const SiteId home = f.home;
-  Ship(via, home, shared->size(),
-       [this, via, home, path, offset, shared, shared_cb] {
+  const std::uint64_t bytes = copy.size();
+  Ship(via, home, bytes,
+       [this, via, home, path, offset, copy = std::move(copy),
+        cb = std::move(cb)](bool delivered) mutable {
+         if (!delivered) {
+           cb(fs::Status::kIoError);
+           return;
+         }
          HomeWriteAndReplicate(
-             path, offset, std::move(*shared),
-             [this, via, home, shared_cb](fs::Status st) {
+             path, offset, std::move(copy),
+             [this, via, home, cb = std::move(cb)](fs::Status st) mutable {
                Ship(home, via, config_.ctrl_msg_bytes,
-                    [shared_cb, st] { (*shared_cb)(st); },
-                    [shared_cb] { (*shared_cb)(fs::Status::kIoError); });
+                    [cb = std::move(cb), st](bool acked) {
+                      cb(acked ? st : fs::Status::kIoError);
+                    });
              });
-       },
-       [shared_cb] { (*shared_cb)(fs::Status::kIoError); });
+       });
 }
 
 // --- Async queues ------------------------------------------------------------------
@@ -300,7 +305,14 @@ void GeoCluster::PumpQueue(SiteId from, SiteId to) {
     }
   }
   Ship(from, to, update->data.size(),
-       [this, from, to, update, ctx] {
+       [this, from, to, update, ctx](bool delivered) {
+         if (!delivered) {
+           if (ctx.sampled()) ctx.tracer->EndTrace(ctx, false);
+           // Route down: back off and retry (stops if the source has died).
+           engine_.Schedule(10 * util::kNsPerMs,
+                            [this, from, to] { PumpQueue(from, to); });
+           return;
+         }
          ApplyRemoteWrite(to, update->path, update->offset, update->data,
                           [this, from, to, update, ctx](bool) {
                             if (ctx.sampled()) ctx.tracer->EndTrace(ctx, true);
@@ -313,12 +325,6 @@ void GeoCluster::PumpQueue(SiteId from, SiteId to) {
                             }
                             PumpQueue(from, to);
                           });
-       },
-       [this, from, to, ctx] {
-         if (ctx.sampled()) ctx.tracer->EndTrace(ctx, false);
-         // Route down: back off and retry (stops if the source has died).
-         engine_.Schedule(10 * util::kNsPerMs,
-                          [this, from, to] { PumpQueue(from, to); });
        });
 }
 
@@ -380,7 +386,11 @@ void GeoCluster::FetchChunks(SiteId via, const std::string& path,
     }
     // Control hop to home, then the home reads and ships the chunk back.
     Ship(via, home, config_.ctrl_msg_bytes,
-         [this, via, home, path, off, len, c, join] {
+         [this, via, home, path, off, len, c, join](bool delivered) {
+           if (!delivered) {
+             join->Arrive(false);
+             return;
+           }
            sites_[home]->filesystem().Read(
                path, off, len,
                [this, via, home, path, off, c, join](fs::Status st,
@@ -389,23 +399,26 @@ void GeoCluster::FetchChunks(SiteId via, const std::string& path,
                    join->Arrive(false);
                    return;
                  }
-                 auto payload = std::make_shared<util::Bytes>(std::move(data));
-                 Ship(home, via, payload->size(),
-                      [this, via, path, off, c, payload, join] {
+                 const std::uint64_t bytes = data.size();
+                 Ship(home, via, bytes,
+                      [this, via, path, off, c, data = std::move(data),
+                       join](bool delivered) {
+                        if (!delivered) {
+                          join->Arrive(false);
+                          return;
+                        }
                         // Land the chunk in the local FS copy.
                         sites_[via]->filesystem().Write(
-                            path, off, *payload,
+                            path, off, data,
                             [this, via, path, c, join](fs::Status st2) {
                               if (st2 == fs::Status::kOk) {
                                 files_.at(path).cached_chunks[via].insert(c);
                               }
                               join->Arrive(st2 == fs::Status::kOk);
                             });
-                      },
-                      [join] { join->Arrive(false); });
+                      });
                });
-         },
-         [join] { join->Arrive(false); });
+         });
   }
 }
 

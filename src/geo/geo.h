@@ -167,9 +167,9 @@ class GeoCluster {
     bool draining = false;
   };
 
-  /// WAN transfer between site gateways.
+  /// WAN transfer between site gateways; `done(delivered)` runs once.
   void Ship(SiteId from, SiteId to, std::uint64_t bytes,
-            std::function<void()> delivered, std::function<void()> dropped);
+            net::Fabric::Completion done);
 
   void ChooseReplicas(const std::string& path, GeoFile& f);
   void ApplyRemoteWrite(SiteId target, const std::string& path,

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "util/join.h"
 #include "util/units.h"
 
 namespace nlss::geo {
@@ -31,37 +32,36 @@ void ReplicatedBacking::WriteBlocks(std::uint64_t block,
     // Local and remote writes in parallel; ack after both (one WAN round
     // trip dominates).  The remote leg gets a geo-layer span so the WAN
     // round trip is attributed to this layer in trace breakdowns.
-    auto shared_cb = std::make_shared<WriteCallback>(std::move(cb));
-    auto remaining = std::make_shared<int>(2);
-    auto all_ok = std::make_shared<bool>(true);
-    auto arrive = [shared_cb, remaining, all_ok](bool ok) {
-      *all_ok = *all_ok && ok;
-      if (--*remaining == 0) (*shared_cb)(*all_ok);
-    };
-    local_.WriteBlocks(block, data, arrive, ctx);
+    auto join = std::make_shared<util::Join>(2, std::move(cb));
+    local_.WriteBlocks(block, data, [join](bool ok) { join->Arrive(ok); }, ctx);
     const obs::TraceContext geo_span =
         obs::StartSpan(ctx, obs::Layer::kGeo, "geo.remote_write");
-    auto remote_arrive = [geo_span, arrive](bool ok) {
+    auto remote_arrive = [geo_span, join](bool ok) {
       obs::EndSpan(geo_span);
-      arrive(ok);
+      join->Arrive(ok);
     };
-    auto payload = std::make_shared<util::Bytes>(data.begin(), data.end());
     fabric_.Send(
-        local_gw_, remote_gw_, payload->size(),
-        [this, block, payload, remote_arrive, geo_span] {
+        local_gw_, remote_gw_, data.size(),
+        [this, block, payload = util::Bytes(data.begin(), data.end()),
+         remote_arrive, geo_span](bool delivered) {
+          if (!delivered) {
+            remote_arrive(false);
+            return;
+          }
           remote_.WriteBlocks(
-              block, *payload,
+              block, payload,
               [this, remote_arrive, geo_span](bool ok) {
                 ++replicated_writes_;
                 // Remote ack crosses back.
-                fabric_.Send(
-                    remote_gw_, local_gw_, config_.ctrl_msg_bytes,
-                    [remote_arrive, ok] { remote_arrive(ok); },
-                    [remote_arrive] { remote_arrive(false); }, geo_span);
+                fabric_.Send(remote_gw_, local_gw_, config_.ctrl_msg_bytes,
+                             [remote_arrive, ok](bool acked) {
+                               remote_arrive(acked && ok);
+                             },
+                             geo_span);
               },
               geo_span);
         },
-        [remote_arrive] { remote_arrive(false); }, geo_span);
+        geo_span);
     return;
   }
   // Asynchronous: ack after the local write; queue the remote copy (the
@@ -83,21 +83,26 @@ void ReplicatedBacking::Pump() {
     return;
   }
   // Head stays queued until applied remotely (in-flight counts as exposed).
-  auto update = std::make_shared<Update>(queue_.front());
+  const Update& head = queue_.front();
   obs::TraceContext ctx;
   if (tracer_ != nullptr) {
     ctx = tracer_->StartTrace(obs::Layer::kGeo, "geo.replicate");
     if (ctx.sampled()) {
-      tracer_->Annotate(ctx, "block=" + std::to_string(update->block) +
-                                 " bytes=" +
-                                 std::to_string(update->data.size()));
+      tracer_->Annotate(ctx, "block=" + std::to_string(head.block) +
+                                 " bytes=" + std::to_string(head.data.size()));
     }
   }
   fabric_.Send(
-      local_gw_, remote_gw_, update->data.size(),
-      [this, update, ctx] {
+      local_gw_, remote_gw_, head.data.size(),
+      [this, update = head, ctx](bool delivered) {
+        if (!delivered) {
+          if (ctx.sampled()) ctx.tracer->EndTrace(ctx, false);
+          // WAN down: back off and retry.
+          engine_.Schedule(10 * util::kNsPerMs, [this] { Pump(); });
+          return;
+        }
         remote_.WriteBlocks(
-            update->block, update->data,
+            update.block, update.data,
             [this, ctx](bool ok) {
               if (ctx.sampled()) ctx.tracer->EndTrace(ctx, ok);
               ++replicated_writes_;
@@ -108,11 +113,6 @@ void ReplicatedBacking::Pump() {
               Pump();
             },
             ctx);
-      },
-      [this, ctx] {
-        if (ctx.sampled()) ctx.tracer->EndTrace(ctx, false);
-        // WAN down: back off and retry.
-        engine_.Schedule(10 * util::kNsPerMs, [this] { Pump(); });
       },
       ctx);
 }

@@ -456,19 +456,24 @@ void Initiator::ProbePath(int path) {
   engine_.Schedule(config_.probe_timeout_ns, miss);
   system_.fabric().Send(
       node_, blade_node, config_.probe_bytes,
-      [this, path, blade, blade_node, answered, miss] {
+      [this, path, blade, blade_node, answered, miss](bool delivered) {
+        if (!delivered) {
+          miss();
+          return;
+        }
         // Probe reached the blade; only a live controller echoes it.
         if (!system_.cache().IsAlive(blade)) return;  // timeout -> miss
         system_.fabric().Send(
             blade_node, node_, config_.probe_bytes,
-            [this, path, answered] {
-              if (*answered) return;
-              *answered = true;
-              OnProbeOk(path);
-            },
-            miss);
-      },
-      miss);
+            [this, path, answered, miss](bool echoed) {
+              if (!echoed) {
+                miss();
+              } else if (!*answered) {
+                *answered = true;
+                OnProbeOk(path);
+              }
+            });
+      });
 }
 
 void Initiator::OnProbeOk(int path) {

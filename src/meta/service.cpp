@@ -467,13 +467,22 @@ void MetaService::RangeScan(const std::string& path, const std::string& from,
 // --- Bootstrap ----------------------------------------------------------------
 
 Status MetaService::BootstrapMkdir(const std::string& path) {
-  return ns_.ApplyAt(path, &Namespace::Mkdir, nullptr);
+  return Bootstrap(path, &Namespace::Mkdir, nullptr);
 }
 
 Status MetaService::BootstrapCreate(const std::string& path, Ino* out_ino) {
+  return Bootstrap(path, &Namespace::Create, out_ino);
+}
+
+Status MetaService::Bootstrap(const std::string& path, Namespace::Rule rule,
+                              Ino* out_ino) {
   Change change;
-  const Status st = ns_.ApplyAt(path, &Namespace::Create, &change);
-  if (st == Status::kOk && out_ino != nullptr) *out_ino = change.ino;
+  const Status st = ns_.ApplyAt(path, rule, &change);
+  if (st != Status::kOk) return st;
+  // Uncounted, but a client holding the parent (whose delegated copy answers
+  // misses authoritatively) must still learn that the directory changed.
+  TouchDirectory(change.touched[0]);
+  if (out_ino != nullptr) *out_ino = change.ino;
   return st;
 }
 

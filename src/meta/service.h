@@ -134,6 +134,8 @@ class MetaService {
                          obs::TraceContext ctx = {});
 
   // --- Bootstrap (zero simulated time; namespace population) ----------------
+  /// Not counted in `mutations`, but each bumps the parent's version and
+  /// pushes the invalidation to registered clients like any other change.
   Status BootstrapMkdir(const std::string& path);
   Status BootstrapCreate(const std::string& path, Ino* out_ino = nullptr);
 
@@ -217,6 +219,9 @@ class MetaService {
             std::size_t end, DirId dir, ResolveCallback done,
             obs::TraceContext ctx);
 
+  /// Apply a bootstrap rule at `path`: uncounted, but invalidating.
+  Status Bootstrap(const std::string& path, Namespace::Rule rule,
+                   Ino* out_ino);
   /// Count an applied change and push its invalidations to the clients.
   void Publish(const Change& change);
   /// Bump `dir`'s version and push the invalidation to every client.

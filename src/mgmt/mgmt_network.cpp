@@ -2,6 +2,19 @@
 
 namespace nlss::mgmt {
 
+namespace {
+
+/// The answer a station gets when no blade can serve its request: every
+/// blade is down, or the request or its response was dropped on the way.
+proto::HttpResponse Unavailable() {
+  proto::HttpResponse r;
+  r.status = 503;
+  r.reason = "Service Unavailable";
+  return r;
+}
+
+}  // namespace
+
 ManagementNetwork::ManagementNetwork(controller::StorageSystem& system,
                                      AdminHttp& admin, Config config)
     : system_(system), admin_(admin) {
@@ -34,39 +47,26 @@ void ManagementNetwork::Request(net::NodeId station,
       break;
     }
   }
-  auto shared_cb = std::make_shared<Callback>(std::move(cb));
   if (blade == ~0u) {
-    system_.engine().Schedule(0, [shared_cb] {
-      proto::HttpResponse r;
-      r.status = 503;
-      r.reason = "Service Unavailable";
-      (*shared_cb)(std::move(r));
-    });
+    system_.engine().Schedule(0, [cb = std::move(cb)] { cb(Unavailable()); });
     return;
   }
   const net::NodeId port = ports_[blade];
   system_.fabric().Send(
       station, port, raw_request.size() + 64,
-      [this, station, port, raw_request, shared_cb] {
+      [this, station, port, raw_request,
+       cb = std::move(cb)](bool delivered) mutable {
+        if (!delivered) {
+          cb(Unavailable());
+          return;
+        }
         proto::HttpResponse resp = admin_.Handle(raw_request);
-        auto shared_resp =
-            std::make_shared<proto::HttpResponse>(std::move(resp));
+        const std::uint64_t bytes = resp.body.size() + 128;
         system_.fabric().Send(
-            port, station,
-            shared_resp->body.size() + 128,
-            [shared_cb, shared_resp] { (*shared_cb)(std::move(*shared_resp)); },
-            [shared_cb] {
-              proto::HttpResponse r;
-              r.status = 503;
-              r.reason = "Service Unavailable";
-              (*shared_cb)(std::move(r));
+            port, station, bytes,
+            [cb = std::move(cb), resp = std::move(resp)](bool ok) mutable {
+              cb(ok ? std::move(resp) : Unavailable());
             });
-      },
-      [shared_cb] {
-        proto::HttpResponse r;
-        r.status = 503;
-        r.reason = "Service Unavailable";
-        (*shared_cb)(std::move(r));
       });
 }
 

@@ -10,7 +10,6 @@
 // host-fabric outage or a compromised host port cannot touch it.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 

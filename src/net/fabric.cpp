@@ -139,50 +139,42 @@ std::size_t Fabric::HopCount(NodeId src, NodeId dst) {
 }
 
 void Fabric::Send(NodeId src, NodeId dst, std::uint64_t bytes,
-                  sim::Engine::Callback on_delivered,
-                  sim::Engine::Callback on_dropped, obs::TraceContext ctx) {
-  SendImpl(src, dst, bytes, std::move(on_delivered), std::move(on_dropped),
-           ctx, nullptr);
+                  Completion done, obs::TraceContext ctx) {
+  SendImpl(src, dst, bytes, std::move(done), ctx, nullptr);
 }
 
 void Fabric::SendBatch(std::vector<Outbound> msgs) {
   sim::Engine::Batch batch(engine_);
   for (Outbound& m : msgs) {
-    SendImpl(m.src, m.dst, m.bytes, std::move(m.on_delivered),
-             std::move(m.on_dropped), m.ctx, &batch);
+    SendImpl(m.src, m.dst, m.bytes, std::move(m.done), m.ctx, &batch);
   }
 }
 
 void Fabric::SendImpl(NodeId src, NodeId dst, std::uint64_t bytes,
-                      sim::Engine::Callback on_delivered,
-                      sim::Engine::Callback on_dropped, obs::TraceContext ctx,
+                      Completion done, obs::TraceContext ctx,
                       sim::Engine::Batch* batch) {
   assert(src < nodes_.size() && dst < nodes_.size());
   if (src == dst) {
     // Loopback: no fabric cost beyond a scheduling point.
+    auto deliver = [done = std::move(done)] {
+      if (done) done(true);
+    };
     if (batch != nullptr) {
-      batch->Add(0, std::move(on_delivered));
+      batch->Add(0, std::move(deliver));
     } else {
-      engine_.Schedule(0, std::move(on_delivered));
+      engine_.Schedule(0, std::move(deliver));
     }
     return;
   }
   if (ctx.sampled()) {
-    // One network span covers the whole multi-hop transfer.  If the message
-    // is dropped with no drop handler the span stays open and is clamped at
-    // trace end.
+    // One network span covers the whole multi-hop transfer and ends with
+    // the message's one outcome, delivered or dropped.
     const obs::TraceContext span =
         obs::StartSpan(ctx, obs::Layer::kNet, "net.send");
-    on_delivered = [span, cb = std::move(on_delivered)] {
+    done = [span, cb = std::move(done)](bool delivered) {
       obs::EndSpan(span);
-      cb();
+      if (cb) cb(delivered);
     };
-    if (on_dropped) {
-      on_dropped = [span, cb = std::move(on_dropped)] {
-        obs::EndSpan(span);
-        cb();
-      };
-    }
   }
   // The per-hop walk re-resolves the route at each hop so that topology
   // changes mid-flight behave like a real fabric (packet follows current
@@ -191,25 +183,20 @@ void Fabric::SendImpl(NodeId src, NodeId dst, std::uint64_t bytes,
     Fabric* fabric;
     NodeId dst;
     std::uint64_t bytes;
-    sim::Engine::Callback delivered;
-    sim::Engine::Callback dropped;
+    Completion done;
 
     // `batch` is only non-null for the first hop (SendBatch staging); later
     // hops run from inside events and push directly.
     void Hop(NodeId cur, sim::Engine::Batch* batch = nullptr) {
       Fabric& f = *fabric;
-      auto fail = [this] {
-        ++fabric->dropped_;
-        if (dropped) dropped();
-      };
-      if (!f.nodes_[cur].up || !f.nodes_[dst].up) {
-        fail();
-        return;
+      std::size_t li = static_cast<std::size_t>(-1);
+      if (f.nodes_[cur].up && f.nodes_[dst].up) {
+        f.EnsureRoutes();
+        li = f.routes_[cur * f.nodes_.size() + dst];
       }
-      f.EnsureRoutes();
-      const std::size_t li = f.routes_[cur * f.nodes_.size() + dst];
       if (li == static_cast<std::size_t>(-1)) {
-        fail();
+        ++f.dropped_;  // dropped here, inline: the one outcome is `false`
+        if (done) done(false);
         return;
       }
       Link& l = f.links_[li];
@@ -231,7 +218,7 @@ void Fabric::SendImpl(NodeId src, NodeId dst, std::uint64_t bytes,
       Transit self = std::move(*this);
       auto deliver = [self = std::move(self), next]() mutable {
         if (next == self.dst) {
-          self.delivered();
+          if (self.done) self.done(true);
         } else {
           self.Hop(next);
         }
@@ -243,7 +230,7 @@ void Fabric::SendImpl(NodeId src, NodeId dst, std::uint64_t bytes,
       }
     }
   };
-  Transit t{this, dst, bytes, std::move(on_delivered), std::move(on_dropped)};
+  Transit t{this, dst, bytes, std::move(done)};
   t.Hop(src, batch);
 }
 

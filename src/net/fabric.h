@@ -6,12 +6,18 @@
 //
 // Payloads do not travel through the fabric — data lives in the block store
 // and caches; the fabric computes *when* a transfer of a given size
-// completes and then runs the sender's completion callback.  That keeps the
-// timing model honest while letting the storage logic operate on real bytes.
+// completes and then runs the sender's completion.  That keeps the timing
+// model honest while letting the storage logic operate on real bytes.
+//
+// Every message has exactly one outcome, reported through one move-only
+// completion `void(bool delivered)`: `true` at the simulated delivery time,
+// or `false` at the point the message is dropped (no route at the sender or
+// at any later hop, or a down node).  The completion therefore owns the
+// caller's continuation outright — payloads and callbacks move into it, and
+// the delivered and dropped outcomes share one body.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -57,13 +63,17 @@ class Fabric {
   void Connect(NodeId a, NodeId b, const LinkProfile& ab,
                const LinkProfile& ba);
 
+  /// The one outcome of a message: called exactly once, with `true` at the
+  /// simulated delivery time or `false` at the drop point.
+  using Completion = sim::Function<void(bool delivered)>;
+
   /// Send `bytes` from src to dst along the precomputed shortest path.
-  /// `on_delivered` runs at the simulated delivery time.  If no route
-  /// exists (node/link down), `on_dropped` runs immediately if provided,
-  /// otherwise the message is counted in dropped().
-  void Send(NodeId src, NodeId dst, std::uint64_t bytes,
-            sim::Engine::Callback on_delivered,
-            sim::Engine::Callback on_dropped = nullptr,
+  /// `done(true)` runs at the simulated delivery time.  If the route is
+  /// missing — at the sender (node/link down) or at a later hop — the
+  /// message is counted in dropped() and `done(false)` runs right there,
+  /// inline.  A null `done` is a fire-and-forget send.  A sampled `ctx`
+  /// gets one "net.send" span that ends at delivery or at the drop.
+  void Send(NodeId src, NodeId dst, std::uint64_t bytes, Completion done,
             obs::TraceContext ctx = {});
 
   /// One message of a batched fan-out (see SendBatch).
@@ -71,8 +81,7 @@ class Fabric {
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
     std::uint64_t bytes = 0;
-    sim::Engine::Callback on_delivered;
-    sim::Engine::Callback on_dropped;
+    Completion done;
     obs::TraceContext ctx;
   };
 
@@ -137,10 +146,8 @@ class Fabric {
   std::size_t FindLinkIndex(NodeId a, NodeId b) const;
   /// Shared body of Send/SendBatch; `batch` (when non-null) stages the
   /// first-hop event instead of pushing it immediately.
-  void SendImpl(NodeId src, NodeId dst, std::uint64_t bytes,
-                sim::Engine::Callback on_delivered,
-                sim::Engine::Callback on_dropped, obs::TraceContext ctx,
-                sim::Engine::Batch* batch);
+  void SendImpl(NodeId src, NodeId dst, std::uint64_t bytes, Completion done,
+                obs::TraceContext ctx, sim::Engine::Batch* batch);
 
   sim::Engine& engine_;
   std::vector<Node> nodes_;

@@ -1,21 +1,25 @@
-// Small-buffer-optimized event callback for the DES kernel.
+// Small-buffer-optimized, move-only callables for the DES kernel and the
+// layers that hand completions to it.
 //
 // Every timed action in the system is a `void()` closure pushed through the
-// engine; with std::function the common capture sizes (two or three ids plus
-// a pointer or a wrapped continuation — up to ~48 bytes across the sim, net,
-// cache, and raid call sites) exceed libstdc++'s 16-byte inline buffer and
-// heap-allocate on every Schedule.  sim::Callback is a move-only `void()`
-// type with 48 bytes of inline storage, so those captures never touch the
-// heap; larger closures fall back to a single heap cell, which is still no
-// worse than std::function.
+// engine, and every fabric message ends in one `void(bool delivered)`
+// completion.  With std::function the common capture sizes (two or three
+// ids plus a pointer or a wrapped continuation — up to ~48 bytes across the
+// sim, net, cache, and raid call sites) exceed libstdc++'s 16-byte inline
+// buffer and heap-allocate on every Schedule.  sim::Function<Sig> is a
+// move-only callable with 48 bytes of inline storage, so those captures
+// never touch the heap; larger closures fall back to a single heap cell,
+// which is still no worse than std::function.  sim::Callback is its
+// `void()` case, the type every engine event carries.
 //
-// Intentional differences from std::function<void()>:
-//   - move-only (events are scheduled exactly once; copyability is what
-//     forces std::function to heap-allocate non-copyable-unfriendly captures)
+// Intentional differences from std::function<Sig>:
+//   - move-only (events and completions run exactly once; copyability is
+//     what forces std::function to heap-allocate and what forces callers to
+//     share move-only state through shared_ptr)
 //   - wrapping an *empty* std::function or a null function pointer yields an
-//     empty Callback, so `if (cb)` tests keep their meaning across the
+//     empty Function, so `if (cb)` tests keep their meaning across the
 //     conversion boundary
-//   - invoking an empty Callback is undefined (the engine never does).
+//   - invoking an empty Function is undefined (the engine never does).
 #pragma once
 
 #include <cstddef>
@@ -33,23 +37,27 @@ template <typename Sig>
 struct IsStdFunction<std::function<Sig>> : std::true_type {};
 }  // namespace detail
 
-class Callback {
+template <typename Sig>
+class Function;
+
+template <typename R, typename... Args>
+class Function<R(Args...)> {
  public:
   /// Largest capture stored inline (no heap).  Measured over the hot
   /// schedulers: cache flush/waiter wakeups, net transit hops, raid stripe
   /// completions all fit.
   static constexpr std::size_t kInlineBytes = 48;
 
-  Callback() noexcept = default;
-  Callback(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+  Function() noexcept = default;
+  Function(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename Fn = std::remove_cvref_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<Fn, Callback> &&
-                                        std::is_invocable_r_v<void, Fn&>>>
-  Callback(F&& f) {  // NOLINT(google-explicit-constructor)
+            typename = std::enable_if_t<!std::is_same_v<Fn, Function> &&
+                                        std::is_invocable_r_v<R, Fn&, Args...>>>
+  Function(F&& f) {  // NOLINT(google-explicit-constructor)
     // An empty std::function or null function pointer converts to an empty
-    // Callback, not a callable that throws/crashes when invoked.
+    // Function, not a callable that throws/crashes when invoked.
     if constexpr (detail::IsStdFunction<Fn>::value) {
       if (!f) return;
     } else if constexpr (std::is_pointer_v<Fn> || std::is_member_pointer_v<Fn>) {
@@ -59,76 +67,82 @@ class Callback {
                   alignof(Fn) <= alignof(void*) &&
                   std::is_nothrow_move_constructible_v<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &kInlineOps<Fn>;
+      ops_ = &kOps<Fn>;
     } else {
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &kHeapOps<Fn>;
+      ::new (static_cast<void*>(buf_)) Boxed<Fn>(new Fn(std::forward<F>(f)));
+      ops_ = &kOps<Boxed<Fn>, /*kInline=*/false>;
     }
   }
 
-  Callback(Callback&& other) noexcept { MoveFrom(other); }
-  Callback& operator=(Callback&& other) noexcept {
+  Function(Function&& other) noexcept { MoveFrom(other); }
+  Function& operator=(Function&& other) noexcept {
     if (this != &other) {
       Reset();
       MoveFrom(other);
     }
     return *this;
   }
-  Callback& operator=(std::nullptr_t) noexcept {
+  Function& operator=(std::nullptr_t) noexcept {
     Reset();
     return *this;
   }
-  Callback(const Callback&) = delete;
-  Callback& operator=(const Callback&) = delete;
-  ~Callback() { Reset(); }
+  Function(const Function&) = delete;
+  Function& operator=(const Function&) = delete;
+  ~Function() { Reset(); }
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  void operator()() const { ops_->invoke(const_cast<unsigned char*>(buf_)); }
+  R operator()(Args... args) const {
+    return ops_->invoke(const_cast<unsigned char*>(buf_),
+                        std::forward<Args>(args)...);
+  }
 
   /// True when the wrapped callable lives in the inline buffer (empty
-  /// callbacks count as inline).  Exposed for tests and allocation audits.
+  /// callables count as inline).  Exposed for tests and allocation audits.
   bool is_inline() const noexcept { return ops_ == nullptr || ops_->inline_storage; }
 
  private:
   struct Ops {
-    void (*invoke)(unsigned char*);
+    R (*invoke)(unsigned char*, Args&&...);
     void (*relocate)(unsigned char* from, unsigned char* to);  // destructive
     void (*destroy)(unsigned char*);
     bool inline_storage;
   };
 
+  /// A closure too large (or too throwy to move) for the buffer lives in one
+  /// heap cell; the buffer holds this owning pointer to it.
   template <typename Fn>
-  static Fn* Inline(unsigned char* b) {
+  struct Boxed {
+    Fn* fn;
+    explicit Boxed(Fn* f) : fn(f) {}
+    Boxed(Boxed&& other) noexcept : fn(std::exchange(other.fn, nullptr)) {}
+    ~Boxed() { delete fn; }
+    decltype(auto) operator()(Args&&... args) {
+      return std::invoke(*fn, std::forward<Args>(args)...);
+    }
+  };
+
+  template <typename Fn>
+  static Fn* Get(unsigned char* b) {
     return std::launder(reinterpret_cast<Fn*>(b));
   }
-  template <typename Fn>
-  static Fn*& HeapPtr(unsigned char* b) {
-    return *std::launder(reinterpret_cast<Fn**>(b));
-  }
 
-  template <typename Fn>
-  static constexpr Ops kInlineOps = {
-      [](unsigned char* b) { (*Inline<Fn>(b))(); },
-      [](unsigned char* from, unsigned char* to) {
-        ::new (static_cast<void*>(to)) Fn(std::move(*Inline<Fn>(from)));
-        Inline<Fn>(from)->~Fn();
+  // static_cast<R>: a `void` signature discards what the callable returns.
+  template <typename Fn, bool kInline = true>
+  static constexpr Ops kOps = {
+      [](unsigned char* b, Args&&... args) -> R {
+        return static_cast<R>(
+            std::invoke(*Get<Fn>(b), std::forward<Args>(args)...));
       },
-      [](unsigned char* b) { Inline<Fn>(b)->~Fn(); },
-      /*inline_storage=*/true,
+      [](unsigned char* from, unsigned char* to) {
+        ::new (static_cast<void*>(to)) Fn(std::move(*Get<Fn>(from)));
+        Get<Fn>(from)->~Fn();
+      },
+      [](unsigned char* b) { Get<Fn>(b)->~Fn(); },
+      /*inline_storage=*/kInline,
   };
 
-  template <typename Fn>
-  static constexpr Ops kHeapOps = {
-      [](unsigned char* b) { (*HeapPtr<Fn>(b))(); },
-      [](unsigned char* from, unsigned char* to) {
-        ::new (static_cast<void*>(to)) Fn*(HeapPtr<Fn>(from));
-      },
-      [](unsigned char* b) { delete HeapPtr<Fn>(b); },
-      /*inline_storage=*/false,
-  };
-
-  void MoveFrom(Callback& other) noexcept {
+  void MoveFrom(Function& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
       ops_->relocate(other.buf_, buf_);
@@ -143,12 +157,15 @@ class Callback {
   }
 
   // Pointer-aligned, not max_align_t: closure captures are ids, pointers,
-  // and nested Callbacks, and 8-byte alignment keeps sizeof(Callback) at 56
+  // and nested Functions, and 8-byte alignment keeps sizeof(Function) at 56
   // so Event can fit it plus a link in one cache line.  An over-aligned
   // capture (none exist today) would fall back to the heap cell.
   alignas(void*) unsigned char buf_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
+
+/// The engine's event type: one timed `void()` action.
+using Callback = Function<void()>;
 static_assert(sizeof(Callback) == 56, "one cache line minus a link pointer");
 
 }  // namespace nlss::sim

@@ -2,6 +2,8 @@
 // the protocol layer and the management plane's persistence.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -19,6 +21,33 @@ void FillPattern(std::span<std::uint8_t> out, std::uint64_t seed);
 
 /// Check that `data` matches the pattern produced by FillPattern(seed).
 bool CheckPattern(std::span<const std::uint8_t> data, std::uint64_t seed);
+
+/// One page-aligned piece of a range split by SplitPages: `len` units at
+/// `in_page` within page `page`, which are units [at, at + len) of the range.
+struct PagePiece {
+  std::uint64_t page;
+  std::uint32_t in_page;
+  std::uint32_t len;
+  std::size_t at;
+};
+
+/// Split the range [offset, offset + length) into its per-page pieces, in
+/// order.  Units are whatever `offset` counts (bytes, blocks).
+inline std::vector<PagePiece> SplitPages(std::uint64_t offset,
+                                         std::uint64_t length,
+                                         std::uint32_t page_size) {
+  std::vector<PagePiece> pieces;
+  for (std::uint64_t at = 0; at < length;) {
+    const std::uint64_t pos = offset + at;
+    const auto in_page = static_cast<std::uint32_t>(pos % page_size);
+    const auto len = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(length - at, page_size - in_page));
+    pieces.push_back(PagePiece{pos / page_size, in_page, len,
+                               static_cast<std::size_t>(at)});
+    at += len;
+  }
+  return pieces;
+}
 
 /// Little-endian binary writer.
 class ByteWriter {

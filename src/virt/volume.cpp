@@ -85,42 +85,25 @@ void DemandMappedVolume::ReadVia(const ExtentMap& map, std::uint64_t block,
   auto result = std::make_shared<util::Bytes>(
       static_cast<std::size_t>(count) * bs, 0);
 
-  struct Piece {
-    std::uint64_t vext;
-    std::uint32_t off;
-    std::uint32_t n;
-    std::size_t out;
-  };
-  std::vector<Piece> pieces;
-  std::uint64_t cur = block;
-  std::uint32_t left = count;
-  std::size_t out = 0;
-  while (left > 0) {
-    const std::uint64_t vext = cur / eb;
-    const std::uint32_t off = static_cast<std::uint32_t>(cur % eb);
-    const std::uint32_t n = std::min(left, eb - off);
-    pieces.push_back(Piece{vext, off, n, out});
-    cur += n;
-    left -= n;
-    out += static_cast<std::size_t>(n) * bs;
-  }
+  const std::vector<util::PagePiece> pieces =
+      util::SplitPages(block, count, eb);
   auto join = std::make_shared<Join>(
       static_cast<int>(pieces.size()),
       [result, cb = std::move(cb)](bool ok) {
         cb(ok, ok ? std::move(*result) : util::Bytes{});
       });
-  for (const Piece& p : pieces) {
-    const auto& phys = map[p.vext];
+  for (const util::PagePiece& p : pieces) {
+    const auto& phys = map[p.page];
     if (!phys) {
       // Unmapped: reads as zeros (the buffer is pre-zeroed).
       engine_.Schedule(0, [join] { join->Arrive(true); });
       continue;
     }
     pool_.ReadBlocks(
-        *phys, p.off, p.n,
-        [result, p, bs, join](bool ok, util::Bytes data) {
+        *phys, p.in_page, p.len,
+        [result, out = p.at * bs, join](bool ok, util::Bytes data) {
           if (ok) {
-            std::memcpy(result->data() + p.out, data.data(), data.size());
+            std::memcpy(result->data() + out, data.data(), data.size());
           }
           join->Arrive(ok);
         },

@@ -588,13 +588,16 @@ TEST(DentryCache, EvictionChurnKeepsInvalidationExact) {
 }
 
 // Resolves /d/f0, /d/f1 and /e/g0: five entries (/d, /d/f0, /d/f1, /e,
-// /e/g0), every chain through the root.
+// /e/g0), every chain through the root.  Everything is bootstrapped before
+// the first resolve: a bootstrap invalidates what the client already holds.
 void WarmTwoDirectories(MetaService& service, Client& client,
                         sim::Engine& engine) {
   ASSERT_EQ(service.BootstrapMkdir("/d"), Status::kOk);
   ASSERT_EQ(service.BootstrapMkdir("/e"), Status::kOk);
   for (const char* p : {"/d/f0", "/d/f1", "/e/g0"}) {
     ASSERT_EQ(service.BootstrapCreate(p), Status::kOk);
+  }
+  for (const char* p : {"/d/f0", "/d/f1", "/e/g0"}) {
     Status st{};
     client.Resolve(p, [&](Status s, Dentry) { st = s; });
     engine.Run();
@@ -653,6 +656,31 @@ TEST(DentryCache, RootMutationDropsEveryEntryAndTheGrant) {
   EXPECT_EQ(st, Status::kOk);
   EXPECT_EQ(client.stats().delegation_grants, 2u)
       << "the next walk fetches a fresh root copy";
+}
+
+// A bootstrap after a client registered must reach that client: a root
+// copy delegated before "/f1" existed would otherwise answer its miss
+// authoritatively as not-found.
+TEST(DentryCache, BootstrapInvalidatesRegisteredClients) {
+  sim::Engine engine;
+  MetaService service(engine);
+  Client client(service, "c0");
+  const auto resolve = [&](const char* path) {
+    Status st{};
+    client.Resolve(path, [&](Status s, Dentry) { st = s; });
+    engine.Run();
+    return st;
+  };
+  ASSERT_EQ(service.BootstrapCreate("/f0"), Status::kOk);
+  ASSERT_EQ(resolve("/f0"), Status::kOk);
+  const std::uint64_t invalidations = service.stats().invalidations;
+  const std::uint64_t mutations = service.stats().mutations;
+  ASSERT_EQ(service.BootstrapCreate("/f1"), Status::kOk);
+  EXPECT_EQ(resolve("/f1"), Status::kOk);
+  EXPECT_EQ(service.stats().invalidations, invalidations + 1)
+      << "one push for the root, to the one registered client";
+  EXPECT_EQ(service.stats().mutations, mutations)
+      << "population is not a counted mutation";
 }
 
 // Two same-tick resolves of one uncached path both walk and both insert

@@ -381,6 +381,20 @@ TEST(Callback, CommonCapturesStayInline) {
   std::function<void()> none;
   Callback empty = std::move(none);
   EXPECT_FALSE(static_cast<bool>(empty));
+
+  // The fabric's `void(bool delivered)` completion obeys the same rules.
+  using Completion = Function<void(bool)>;
+  Completion fits_done = [c = Fits{}](bool) { (void)c; };
+  EXPECT_TRUE(fits_done.is_inline());
+  Completion spills_done = [c = Spills{}](bool) { (void)c; };
+  EXPECT_FALSE(spills_done.is_inline());
+  std::function<void(bool)> no_done;
+  Completion empty_done = std::move(no_done);
+  EXPECT_FALSE(static_cast<bool>(empty_done));
+  bool seen = false;
+  Completion records = [&seen](bool delivered) { seen = delivered; };
+  records(true);
+  EXPECT_TRUE(seen);
 }
 
 TEST(Engine, DeterministicInterleaving) {

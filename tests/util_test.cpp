@@ -275,6 +275,25 @@ TEST(Pattern, UnalignedLength) {
   EXPECT_TRUE(CheckPattern(buf, 5));
 }
 
+TEST(SplitPages, CoversTheRangeInPagePieces) {
+  // 9 units from offset 6 over pages of 4: the tail of page 1, all of
+  // page 2, the head of page 3.
+  const std::vector<PagePiece> pieces = SplitPages(6, 9, 4);
+  ASSERT_EQ(pieces.size(), 3u);
+  const std::uint64_t page[] = {1, 2, 3};
+  const std::uint32_t in_page[] = {2, 0, 0};
+  const std::uint32_t len[] = {2, 4, 3};
+  const std::size_t at[] = {0, 2, 6};
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    EXPECT_EQ(pieces[i].page, page[i]) << i;
+    EXPECT_EQ(pieces[i].in_page, in_page[i]) << i;
+    EXPECT_EQ(pieces[i].len, len[i]) << i;
+    EXPECT_EQ(pieces[i].at, at[i]) << i;
+  }
+  EXPECT_TRUE(SplitPages(8, 0, 4).empty());
+  ASSERT_EQ(SplitPages(5, 2, 4).size(), 1u) << "inside one page";
+}
+
 TEST(ByteRw, Roundtrip) {
   ByteWriter w;
   w.U8(7);
